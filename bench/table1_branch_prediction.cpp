@@ -39,7 +39,7 @@ void runRow() {
 
   exp::ExperimentEngine engine;
   auto traceOf = [&engine, &prog](const isa::Input& in) -> const isa::Trace& {
-    return engine.traceStore().traceFor(prog, in);
+    return *engine.traceStore().entryRefFor(prog, in, false).trace;
   };
 
   // Static schemes under test.

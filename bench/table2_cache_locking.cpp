@@ -41,7 +41,8 @@ void runRow() {
   const cache::CacheGeometry geom{4, 8, 2};
   const cache::CacheTiming timing{1, 8};
   exp::ExperimentEngine engine;
-  const auto& trace = engine.traceStore().traceFor(w.program, w.inputs[0]);
+  const auto& trace =
+      *engine.traceStore().entryRefFor(w.program, w.inputs[0], false).trace;
 
   // The two selection algorithms of the original paper.
   const auto profSel =

@@ -29,7 +29,8 @@ void runRow() {
 
   const auto w = study::WorkloadRegistry::instance().make(inst.spec.workload);
   exp::ExperimentEngine engine;
-  const auto& trace = engine.traceStore().traceFor(w.program, w.inputs[0]);
+  const auto& trace =
+      *engine.traceStore().entryRefFor(w.program, w.inputs[0], false).trace;
 
   const auto cmp = cache::compareMethodCacheAgainstICache(
       w.program, trace, /*capacityInstrs=*/96,

@@ -12,65 +12,6 @@
 
 namespace pred::exp {
 
-namespace {
-
-/// Groups the inputs of [iBegin, iEnd) by trace-equivalence class id.
-/// Groups are ordered by first appearance and hold GLOBAL input indices in
-/// ascending order — exactly what StreamingMeasures::addEqual needs for
-/// witness-identical fan-out.
-std::vector<std::vector<std::size_t>> groupByClass(
-    const std::vector<std::uint32_t>& classIds, std::size_t iBegin,
-    std::size_t iEnd) {
-  std::vector<std::vector<std::size_t>> groups;
-  std::unordered_map<std::uint32_t, std::size_t> slotOf;
-  for (std::size_t i = iBegin; i < iEnd; ++i) {
-    const auto [it, fresh] = slotOf.try_emplace(classIds[i], groups.size());
-    if (fresh) groups.emplace_back();
-    groups[it->second].push_back(i);
-  }
-  return groups;
-}
-
-/// Class ids for externally supplied traces (the trace-pointer entry
-/// points, which bypass the store): pointer-equal traces short-circuit,
-/// distinct pointers group by content fingerprint CONFIRMED by exact
-/// record-for-record comparison — same collision discipline as the store.
-std::vector<std::uint32_t> localClassIds(
-    const std::vector<const isa::Trace*>& traces) {
-  std::vector<std::uint32_t> ids(traces.size(), 0);
-  std::unordered_map<const isa::Trace*, std::uint32_t> byPtr;
-  std::unordered_map<std::uint64_t,
-                     std::vector<std::pair<std::uint32_t, const isa::Trace*>>>
-      byFp;
-  std::uint32_t next = 0;
-  for (std::size_t i = 0; i < traces.size(); ++i) {
-    const isa::Trace* t = traces[i];
-    if (const auto pit = byPtr.find(t); pit != byPtr.end()) {
-      ids[i] = pit->second;
-      continue;
-    }
-    auto& classes = byFp[traceFingerprint(*t)];
-    std::uint32_t id = next;
-    bool found = false;
-    for (const auto& [cid, rep] : classes) {
-      if (tracesIdentical(*rep, *t)) {
-        id = cid;
-        found = true;
-        break;
-      }
-    }
-    if (!found) {
-      ++next;
-      classes.emplace_back(id, t);
-    }
-    byPtr.emplace(t, id);
-    ids[i] = id;
-  }
-  return ids;
-}
-
-}  // namespace
-
 ExperimentEngine::ExperimentEngine(EngineConfig config) : config_(config) {
   if (config_.tileStates == 0) config_.tileStates = 1;
   if (config_.tileInputs == 0) config_.tileInputs = 1;
@@ -114,343 +55,186 @@ bool ExperimentEngine::packedPath(const TimingModel& model) const {
   return config_.usePackedReplay && model.supportsPackedReplay();
 }
 
-std::vector<ReplayProgram> ExperimentEngine::compileLocal(
-    const std::vector<const isa::Trace*>& traces) const {
-  std::vector<ReplayProgram> compiled(traces.size());
-  obs::Span span(pResolve_);
-  WorkerPool::shared().run(
-      traces.size(), resolvedThreads(),
-      [&](std::size_t i, int) { compiled[i] = compileTrace(*traces[i]); },
-      &util_);
-  return compiled;
-}
+std::vector<core::StreamingMeasures> ExperimentEngine::walk(
+    const std::vector<Item>& items, bool batched, core::TimingMatrix* matrix) {
+  const std::size_t n = items.size();
+  const bool collapse = config_.collapseTraceClasses && matrix == nullptr;
 
-void ExperimentEngine::runGrid(
-    std::size_t numStates, std::size_t numInputs, obs::PhaseAccum* phase,
-    const std::function<void(std::size_t, std::size_t, int)>& cell) const {
-  if (numStates == 0 || numInputs == 0) return;
-  cGridWalks_->add();
-  const std::size_t tilesQ =
-      (numStates + config_.tileStates - 1) / config_.tileStates;
-  const std::size_t tilesI =
-      (numInputs + config_.tileInputs - 1) / config_.tileInputs;
-  obs::Span span(phase);
-  WorkerPool::shared().run(
-      tilesQ * tilesI, resolvedThreads(),
-      [&](std::size_t tile, int worker) {
-        const std::size_t q0 = (tile / tilesI) * config_.tileStates;
-        const std::size_t i0 = (tile % tilesI) * config_.tileInputs;
-        const std::size_t q1 = std::min(numStates, q0 + config_.tileStates);
-        const std::size_t i1 = std::min(numInputs, i0 + config_.tileInputs);
-        for (std::size_t q = q0; q < q1; ++q) {
-          for (std::size_t i = i0; i < i1; ++i) {
-            cell(q, i, worker);
-          }
-        }
-        // One relaxed add per tile keeps the cell loop untouched.
-        cTiles_->add();
-        cCells_->add((q1 - q0) * (i1 - i0));
-      },
-      &util_);
-}
-
-core::TimingMatrix ExperimentEngine::matrixImpl(
-    const TimingModel& model, const std::vector<const isa::Trace*>& traces,
-    const std::vector<const ReplayProgram*>& compiled) const {
-  cMatrixBuilds_->add();
-  core::TimingMatrix m(model.numStates(), traces.size());
-  const bool packed = !compiled.empty();
-  runGrid(m.numStates(), m.numInputs(),
-          packed ? pReplayPacked_ : pReplayInterp_,
-          [&](std::size_t q, std::size_t i, int) {
-            m.at(q, i) = packed ? model.timePacked(q, *compiled[i])
-                                : model.time(q, *traces[i]);
-          });
-  return m;
-}
-
-core::StreamingMeasures ExperimentEngine::reduceImpl(
-    const TimingModel& model, const std::vector<const isa::Trace*>& traces,
-    const std::vector<const ReplayProgram*>& compiled,
-    const std::vector<std::uint32_t>* classIds, std::size_t qBegin,
-    std::size_t qEnd, std::size_t iBegin, std::size_t iEnd) const {
-  const std::size_t nQ = model.numStates();
-  const std::size_t nI = traces.size();
-  const bool packed = !compiled.empty();
-  // One accumulator per worker slot, merged in slot order afterwards; the
-  // smallest-index tie-break makes the merged result independent of which
-  // worker saw which tile.  Accumulators carry the FULL shape even when
-  // walking a shard's sub-rectangle, so shard merges reproduce the
-  // single-process witnesses.
-  const int workers = std::max(resolvedThreads(), 1);
-  std::vector<core::StreamingMeasures> accs(
-      static_cast<std::size_t>(workers), core::StreamingMeasures(nQ, nI));
-  if (classIds != nullptr) {
-    // Collapsed walk: one column per trace-equivalence class in the input
-    // range.  The representative (smallest member) is timed; addEqual fans
-    // the result out to every member with the same value/witness outcome the
-    // per-member walk would have produced.  Equal traces replay to equal
-    // times on every deterministic model — also for shard ranges that pick
-    // a different in-range representative of the same global class.
-    const auto groups = groupByClass(*classIds, iBegin, iEnd);
-    cTraceClasses_->add(groups.size());
-    cCellsCollapsed_->add((qEnd - qBegin) *
-                          ((iEnd - iBegin) - groups.size()));
-    runGrid(qEnd - qBegin, groups.size(),
-            packed ? pReplayPacked_ : pReplayInterp_,
-            [&](std::size_t dq, std::size_t c, int worker) {
-              const std::size_t q = qBegin + dq;
-              const auto& members = groups[c];
-              const std::size_t rep = members.front();
-              const core::Cycles t = packed
-                                         ? model.timePacked(q, *compiled[rep])
-                                         : model.time(q, *traces[rep]);
-              accs[static_cast<std::size_t>(worker)].addEqual(
-                  q, members.data(), members.size(), t);
-            });
-  } else {
-    runGrid(qEnd - qBegin, iEnd - iBegin,
-            packed ? pReplayPacked_ : pReplayInterp_,
-            [&](std::size_t dq, std::size_t di, int worker) {
-              const std::size_t q = qBegin + dq;
-              const std::size_t i = iBegin + di;
-              const core::Cycles t = packed
-                                         ? model.timePacked(q, *compiled[i])
-                                         : model.time(q, *traces[i]);
-              accs[static_cast<std::size_t>(worker)].add(q, i, t);
-            });
-  }
-  obs::Span mergeSpan(pMerge_);
-  core::StreamingMeasures total = std::move(accs.front());
-  for (std::size_t w = 1; w < accs.size(); ++w) total.merge(accs[w]);
-  return total;
-}
-
-core::TimingMatrix ExperimentEngine::computeMatrix(
-    const TimingModel& model,
-    const std::vector<const isa::Trace*>& traces) const {
-  if (packedPath(model) && !traces.empty() && model.numStates() > 0) {
-    const auto local = compileLocal(traces);
-    std::vector<const ReplayProgram*> compiled(local.size());
-    for (std::size_t i = 0; i < local.size(); ++i) compiled[i] = &local[i];
-    return matrixImpl(model, traces, compiled);
-  }
-  return matrixImpl(model, traces, {});
-}
-
-core::TimingMatrix ExperimentEngine::computeMatrix(
-    const TimingModel& model, const isa::Program& program,
-    const std::vector<isa::Input>& inputs) {
-  // Fill the store on the worker pool too: trace computation is the other
-  // substantial cost, and the store's buckets are independently locked.
-  std::vector<const isa::Trace*> traces;
-  std::vector<const ReplayProgram*> compiled;
-  resolveTraces(program, inputs, 0, inputs.size(), packedPath(model), traces,
-                compiled);
-  return matrixImpl(model, traces, compiled);
-}
-
-core::StreamingMeasures ExperimentEngine::reduceCells(
-    const TimingModel& model,
-    const std::vector<const isa::Trace*>& traces) const {
-  const std::size_t nQ = model.numStates();
-  const std::size_t nI = traces.size();
-  // Externally supplied traces never went through the store, so their class
-  // ids are derived locally (pointer/content grouping).
-  std::vector<std::uint32_t> classIds;
-  const std::vector<std::uint32_t>* ids = nullptr;
-  if (config_.collapseTraceClasses && nI > 0) {
-    classIds = localClassIds(traces);
-    ids = &classIds;
-  }
-  if (packedPath(model) && nI > 0 && nQ > 0) {
-    const auto local = compileLocal(traces);
-    std::vector<const ReplayProgram*> compiled(local.size());
-    for (std::size_t i = 0; i < local.size(); ++i) compiled[i] = &local[i];
-    return reduceImpl(model, traces, compiled, ids, 0, nQ, 0, nI);
-  }
-  return reduceImpl(model, traces, {}, ids, 0, nQ, 0, nI);
-}
-
-std::vector<core::StreamingMeasures> ExperimentEngine::reduceCellsBatch(
-    const std::vector<GridSpec>& grids) {
-  const std::size_t nGrids = grids.size();
-
-  const bool collapse = config_.collapseTraceClasses;
-
-  /// Per-grid evaluation context, resolved up front so the cell pass is a
-  /// pure walk.
+  /// Per-item evaluation context, resolved up front so pass 2 is a pure
+  /// walk.
   struct Prepared {
     bool packed = false;
-    std::size_t nQ = 0, nI = 0;
-    /// Walked input-axis columns: trace classes when collapsing, inputs
-    /// otherwise.
-    std::size_t nCols = 0;
+    /// Store entries of the item's inputs, indexed from iBegin.
+    std::vector<TraceStore::EntryRef> refs;
+    /// Walked columns: ascending GLOBAL input indices per column, columns
+    /// ordered by first appearance.
+    std::vector<std::vector<std::size_t>> cols;
     std::size_t tilesI = 0;
-    std::vector<const isa::Trace*> traces;
-    std::vector<const ReplayProgram*> compiled;
-    std::vector<std::uint32_t> classIds;
-    std::vector<std::vector<std::size_t>> groups;
   };
-  std::vector<Prepared> prep(nGrids);
-  // Prefix offsets flatten the per-grid item lists into single global work
-  // lists; the owning grid of item k is recovered by binary search.
-  std::vector<std::size_t> inputOffset(nGrids + 1, 0);
-  for (std::size_t g = 0; g < nGrids; ++g) {
-    Prepared& p = prep[g];
-    p.packed = packedPath(*grids[g].model);
-    p.nQ = grids[g].model->numStates();
-    p.nI = grids[g].inputs->size();
-    p.traces.assign(p.nI, nullptr);
-    if (p.packed) p.compiled.assign(p.nI, nullptr);
-    if (collapse) p.classIds.assign(p.nI, 0);
-    inputOffset[g + 1] = inputOffset[g] + p.nI;
-  }
-  const auto gridOf = [](const std::vector<std::size_t>& offsets,
-                         std::size_t k) {
+  std::vector<Prepared> prep(n);
+  // Prefix offsets flatten the per-item work into single pool work lists;
+  // the owning item of work k is recovered by binary search.
+  const auto ownerOf = [](const std::vector<std::size_t>& offsets,
+                          std::size_t k) {
     return static_cast<std::size_t>(
         std::upper_bound(offsets.begin(), offsets.end(), k) -
         offsets.begin() - 1);
   };
+  std::vector<std::size_t> inputOffset(n + 1, 0);
+  for (std::size_t k = 0; k < n; ++k) {
+    prep[k].packed = packedPath(*items[k].grid.model);
+    prep[k].refs.resize(items[k].iEnd - items[k].iBegin);
+    inputOffset[k + 1] = inputOffset[k] + prep[k].refs.size();
+  }
 
-  // Pass 1: resolve (and memoize) every grid's traces and compiled forms —
-  // all (grid, input) pairs as one pool work list.
+  // Pass 1: resolve (and memoize) every item's input range — lowering
+  // traces only for the packed path.
   {
     obs::Span span(pResolve_);
     WorkerPool::shared().run(
         inputOffset.back(), resolvedThreads(),
-        [&](std::size_t k, int) {
-          const std::size_t g = gridOf(inputOffset, k);
-          const std::size_t i = k - inputOffset[g];
-          const auto& input = (*grids[g].inputs)[i];
-          if (prep[g].packed) {
-            const auto ref = store_.entryRefFor(*grids[g].program, input);
-            prep[g].traces[i] = ref.trace;
-            prep[g].compiled[i] = ref.compiled;
-            if (collapse) prep[g].classIds[i] = ref.classId;
-          } else if (collapse) {
-            const auto ref = store_.traceRefFor(*grids[g].program, input);
-            prep[g].traces[i] = ref.trace;
-            prep[g].classIds[i] = ref.classId;
-          } else {
-            prep[g].traces[i] = &store_.traceFor(*grids[g].program, input);
-          }
+        [&](std::size_t j, int) {
+          const std::size_t k = ownerOf(inputOffset, j);
+          const Item& item = items[k];
+          const std::size_t di = j - inputOffset[k];
+          prep[k].refs[di] = store_.entryRefFor(
+              *item.grid.program, (*item.grid.inputs)[item.iBegin + di],
+              prep[k].packed);
         },
         &util_);
   }
 
-  // Pass 2: ONE tiled walk over the union of every grid's cells.  Workers
-  // fold into per-(worker, grid) accumulators; the smallest-index tie-break
-  // makes the merge below independent of which worker saw which tile, so
-  // values and witnesses equal the grid-by-grid reduceCells results.
-  std::vector<std::size_t> tileOffset(nGrids + 1, 0);
-  for (std::size_t g = 0; g < nGrids; ++g) {
-    Prepared& p = prep[g];
+  // Columns: with collapse, one per trace class in the item's range, whose
+  // representative (smallest member) is timed once and fanned out to every
+  // member by addEqual — equal traces replay to equal times on every
+  // deterministic model, also for shard ranges that pick a different
+  // in-range representative of the same global class.  Without, one per
+  // input.
+  std::vector<std::size_t> tileOffset(n + 1, 0);
+  for (std::size_t k = 0; k < n; ++k) {
+    const Item& item = items[k];
+    Prepared& p = prep[k];
+    std::unordered_map<std::size_t, std::size_t> colOf;
+    for (std::size_t i = item.iBegin; i < item.iEnd; ++i) {
+      const std::size_t key = collapse ? p.refs[i - item.iBegin].classId : i;
+      const auto [it, fresh] = colOf.try_emplace(key, p.cols.size());
+      if (fresh) p.cols.emplace_back();
+      p.cols[it->second].push_back(i);
+    }
     if (collapse) {
-      p.groups = groupByClass(p.classIds, 0, p.nI);
-      p.nCols = p.groups.size();
-      cTraceClasses_->add(p.nCols);
-      cCellsCollapsed_->add(p.nQ * (p.nI - p.nCols));
-    } else {
-      p.nCols = p.nI;
+      cTraceClasses_->add(p.cols.size());
+      cCellsCollapsed_->add((item.qEnd - item.qBegin) *
+                            (p.refs.size() - p.cols.size()));
     }
     const std::size_t tilesQ =
-        (p.nQ + config_.tileStates - 1) / config_.tileStates;
-    p.tilesI = (p.nCols + config_.tileInputs - 1) / config_.tileInputs;
-    tileOffset[g + 1] = tileOffset[g] + tilesQ * p.tilesI;
+        (item.qEnd - item.qBegin + config_.tileStates - 1) /
+        config_.tileStates;
+    p.tilesI = (p.cols.size() + config_.tileInputs - 1) / config_.tileInputs;
+    tileOffset[k + 1] = tileOffset[k] + tilesQ * p.tilesI;
   }
+
+  // Pass 2: ONE tiled walk over the union of every item's tiles.  Workers
+  // fold into per-(worker, item) accumulators of the FULL grid shape; the
+  // smallest-index tie-break makes the merge below independent of which
+  // worker saw which tile.
   const int workers = std::max(resolvedThreads(), 1);
-  std::vector<std::vector<core::StreamingMeasures>> accs;
-  accs.reserve(static_cast<std::size_t>(workers));
-  for (int w = 0; w < workers; ++w) {
-    std::vector<core::StreamingMeasures> mine;
-    mine.reserve(nGrids);
-    for (std::size_t g = 0; g < nGrids; ++g) {
-      mine.emplace_back(prep[g].nQ, prep[g].nI);
+  std::vector<core::StreamingMeasures> accs;
+  if (matrix == nullptr) {
+    accs.reserve(static_cast<std::size_t>(workers) * n);
+    for (int w = 0; w < workers; ++w) {
+      for (const Item& item : items) {
+        accs.emplace_back(item.grid.model->numStates(),
+                          item.grid.inputs->size());
+      }
     }
-    accs.push_back(std::move(mine));
   }
-  if (tileOffset.back() > 0) cGridWalks_->add();
+  const std::size_t tiles = tileOffset.back();
+  if (tiles > 0) cGridWalks_->add();
   {
-    obs::Span span(tileOffset.back() > 0 ? pReplayBatched_ : nullptr);
+    obs::PhaseAccum* replay =
+        batched ? pReplayBatched_
+                : (prep.front().packed ? pReplayPacked_ : pReplayInterp_);
+    obs::Span span(tiles > 0 ? replay : nullptr);
     WorkerPool::shared().run(
-        tileOffset.back(), workers,
+        tiles, workers,
         [&](std::size_t tile, int worker) {
-          const std::size_t g = gridOf(tileOffset, tile);
-          const Prepared& p = prep[g];
-          const std::size_t local = tile - tileOffset[g];
-          const std::size_t q0 = (local / p.tilesI) * config_.tileStates;
-          const std::size_t i0 = (local % p.tilesI) * config_.tileInputs;
-          const std::size_t q1 = std::min(p.nQ, q0 + config_.tileStates);
-          const std::size_t i1 = std::min(p.nCols, i0 + config_.tileInputs);
-          const TimingModel& model = *grids[g].model;
-          auto& acc = accs[static_cast<std::size_t>(worker)][g];
+          const std::size_t k = ownerOf(tileOffset, tile);
+          const Item& item = items[k];
+          const Prepared& p = prep[k];
+          const std::size_t local = tile - tileOffset[k];
+          const std::size_t q0 =
+              item.qBegin + (local / p.tilesI) * config_.tileStates;
+          const std::size_t c0 = (local % p.tilesI) * config_.tileInputs;
+          const std::size_t q1 = std::min(item.qEnd, q0 + config_.tileStates);
+          const std::size_t c1 =
+              std::min(p.cols.size(), c0 + config_.tileInputs);
+          const TimingModel& model = *item.grid.model;
+          core::StreamingMeasures* acc =
+              matrix ? nullptr
+                     : &accs[static_cast<std::size_t>(worker) * n + k];
           for (std::size_t q = q0; q < q1; ++q) {
-            for (std::size_t i = i0; i < i1; ++i) {
-              if (collapse) {
-                // Column i is a trace class: time its representative once
-                // and fan out to every member input.
-                const auto& members = p.groups[i];
-                const std::size_t rep = members.front();
-                const core::Cycles t =
-                    p.packed ? model.timePacked(q, *p.compiled[rep])
-                             : model.time(q, *p.traces[rep]);
-                acc.addEqual(q, members.data(), members.size(), t);
+            for (std::size_t c = c0; c < c1; ++c) {
+              const auto& members = p.cols[c];
+              const auto& ref = p.refs[members.front() - item.iBegin];
+              const core::Cycles t = p.packed
+                                         ? model.timePacked(q, *ref.compiled)
+                                         : model.time(q, *ref.trace);
+              if (matrix != nullptr) {
+                matrix->at(q, members.front()) = t;
               } else {
-                const core::Cycles t =
-                    p.packed ? model.timePacked(q, *p.compiled[i])
-                             : model.time(q, *p.traces[i]);
-                acc.add(q, i, t);
+                acc->addEqual(q, members.data(), members.size(), t);
               }
             }
           }
+          // One relaxed add per tile keeps the cell loop untouched.
           cTiles_->add();
-          cCells_->add((q1 - q0) * (i1 - i0));
+          cCells_->add((q1 - q0) * (c1 - c0));
         },
         &util_);
   }
+  if (matrix != nullptr) return {};
 
   obs::Span mergeSpan(pMerge_);
   std::vector<core::StreamingMeasures> out;
-  out.reserve(nGrids);
-  for (std::size_t g = 0; g < nGrids; ++g) {
-    core::StreamingMeasures total = std::move(accs[0][g]);
+  out.reserve(n);
+  for (std::size_t k = 0; k < n; ++k) {
+    core::StreamingMeasures total = std::move(accs[k]);
     for (int w = 1; w < workers; ++w) {
-      total.merge(accs[static_cast<std::size_t>(w)][g]);
+      total.merge(accs[static_cast<std::size_t>(w) * n + k]);
     }
     out.push_back(std::move(total));
   }
   return out;
 }
 
-void ExperimentEngine::resolveTraces(
-    const isa::Program& program, const std::vector<isa::Input>& inputs,
-    std::size_t iBegin, std::size_t iEnd, bool packed,
-    std::vector<const isa::Trace*>& traces,
-    std::vector<const ReplayProgram*>& compiled,
-    std::vector<std::uint32_t>* classIds) {
-  traces.assign(inputs.size(), nullptr);
-  compiled.assign(packed ? inputs.size() : 0, nullptr);
-  if (classIds != nullptr) classIds->assign(inputs.size(), 0);
-  obs::Span span(pResolve_);
-  WorkerPool::shared().run(
-      iEnd - iBegin, resolvedThreads(),
-      [&](std::size_t k, int) {
-        const std::size_t i = iBegin + k;
-        if (packed) {
-          const auto ref = store_.entryRefFor(program, inputs[i]);
-          traces[i] = ref.trace;
-          compiled[i] = ref.compiled;
-          if (classIds != nullptr) (*classIds)[i] = ref.classId;
-        } else if (classIds != nullptr) {
-          const auto ref = store_.traceRefFor(program, inputs[i]);
-          traces[i] = ref.trace;
-          (*classIds)[i] = ref.classId;
-        } else {
-          traces[i] = &store_.traceFor(program, inputs[i]);
-        }
-      },
-      &util_);
+core::TimingMatrix ExperimentEngine::computeMatrix(
+    const TimingModel& model, const isa::Program& program,
+    const std::vector<isa::Input>& inputs) {
+  cMatrixBuilds_->add();
+  core::TimingMatrix m(model.numStates(), inputs.size());
+  walk({Item{{&model, &program, &inputs}, 0, m.numStates(), 0,
+             m.numInputs()}},
+       false, &m);
+  return m;
+}
+
+core::StreamingMeasures ExperimentEngine::reduceCells(
+    const TimingModel& model, const isa::Program& program,
+    const std::vector<isa::Input>& inputs) {
+  return std::move(walk({Item{{&model, &program, &inputs}, 0,
+                              model.numStates(), 0, inputs.size()}},
+                        false)
+                       .front());
+}
+
+std::vector<core::StreamingMeasures> ExperimentEngine::reduceCellsBatch(
+    const std::vector<GridSpec>& grids) {
+  std::vector<Item> items;
+  items.reserve(grids.size());
+  for (const GridSpec& g : grids) {
+    items.push_back(Item{g, 0, g.model->numStates(), 0, g.inputs->size()});
+  }
+  return walk(items, true);
 }
 
 core::StreamingMeasures ExperimentEngine::reduceCellsRange(
@@ -469,20 +253,14 @@ core::StreamingMeasures ExperimentEngine::reduceCellsRange(
         "reduceCellsRange: bad input range [" + std::to_string(iBegin) +
         ", " + std::to_string(iEnd) + ") for |I| = " + std::to_string(nI));
   }
-  // Traces resolve for the shard's input range only; the walk itself is
-  // the same reduceImpl body the single-process reduceCells runs, offset
-  // into the sub-rectangle.  Collapse groups within the range but keeps
-  // GLOBAL input indices, so merged shard accumulators still carry the
-  // single-process witnesses byte-for-byte.
-  const bool packed = packedPath(model);
-  const bool collapse = config_.collapseTraceClasses;
-  std::vector<const isa::Trace*> traces;
-  std::vector<const ReplayProgram*> compiled;
-  std::vector<std::uint32_t> classIds;
-  resolveTraces(program, inputs, iBegin, iEnd, packed, traces, compiled,
-                collapse ? &classIds : nullptr);
-  return reduceImpl(model, traces, compiled, collapse ? &classIds : nullptr,
-                    qBegin, qEnd, iBegin, iEnd);
+  // The same walk as the single-process reduceCells, on the shard's
+  // sub-rectangle: traces resolve for the input range only, and collapse
+  // groups within the range but keeps GLOBAL input indices, so merged shard
+  // accumulators carry the single-process witnesses byte-for-byte.
+  return std::move(
+      walk({Item{{&model, &program, &inputs}, qBegin, qEnd, iBegin, iEnd}},
+           false)
+          .front());
 }
 
 core::StreamingMeasures ExperimentEngine::mergeShards(
@@ -493,20 +271,6 @@ core::StreamingMeasures ExperimentEngine::mergeShards(
   core::StreamingMeasures total = std::move(shards.front());
   for (std::size_t s = 1; s < shards.size(); ++s) total.merge(shards[s]);
   return total;
-}
-
-core::StreamingMeasures ExperimentEngine::reduceCells(
-    const TimingModel& model, const isa::Program& program,
-    const std::vector<isa::Input>& inputs) {
-  const bool packed = packedPath(model);
-  const bool collapse = config_.collapseTraceClasses;
-  std::vector<const isa::Trace*> traces;
-  std::vector<const ReplayProgram*> compiled;
-  std::vector<std::uint32_t> classIds;
-  resolveTraces(program, inputs, 0, inputs.size(), packed, traces, compiled,
-                collapse ? &classIds : nullptr);
-  return reduceImpl(model, traces, compiled, collapse ? &classIds : nullptr,
-                    0, model.numStates(), 0, inputs.size());
 }
 
 }  // namespace pred::exp

@@ -11,14 +11,18 @@
 // parallel result is bit-identical to the serial one for any thread count
 // or tile shape — the property the engine tests assert cell-for-cell.
 //
-// Three output shapes share that loop:
-//   computeMatrix    materializes the dense |Q|×|I| TimingMatrix;
-//   reduceCells      folds each cell straight into StreamingMeasures
-//                    (per-tile, merged deterministically), so exhaustive
-//                    queries that don't keep matrices never allocate |Q|×|I|;
-//   reduceCellsBatch folds MANY grids in one walk — the tiles of every
-//                    grid form a single work list, so a scenario sweep of
-//                    small grids stops paying a pool barrier per query.
+// Every entry point is ONE private walk over items of the form (grid,
+// q-range, i-range).  The walk makes two pool passes: the first resolves
+// every item's input range through the TraceStore, the second walks the
+// union of all items' tiles.  Two sinks hang off that walk:
+//   the streaming sink folds cells into StreamingMeasures (per worker and
+//     item, merged in worker order), so exhaustive queries that don't keep
+//     matrices never allocate |Q|×|I|.  reduceCells and reduceCellsRange
+//     are one-item walks; reduceCellsBatch walks MANY grids at once, so a
+//     scenario sweep of small grids stops paying a pool barrier per query;
+//   the matrix sink (computeMatrix) writes one cell per input into the
+//     dense |Q|×|I| TimingMatrix and never collapses — the uncollapsed
+//     reference the differential tests compare the streaming sink against.
 //
 // The per-cell evaluator routes through the model's packed replay fast path
 // (compiled traces + flat cache snapshots, exp/replay.h) whenever the model
@@ -26,7 +30,7 @@
 // path, which benches use to measure the speedup.  Both paths are
 // bit-identical (asserted in tests).
 //
-// Orthogonally, the streaming reductions collapse the INPUT axis before
+// Orthogonally, the streaming sink collapses the INPUT axis before
 // walking it (EngineConfig::collapseTraceClasses): inputs whose functional
 // traces are record-for-record identical — the TraceStore's
 // trace-equivalence classes — are timed once per state, and the class
@@ -41,7 +45,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "core/definitions.h"
@@ -82,11 +85,6 @@ class ExperimentEngine {
  public:
   explicit ExperimentEngine(EngineConfig config = {});
 
-  /// T over Q x I for pre-computed traces (I given as trace pointers).
-  core::TimingMatrix computeMatrix(
-      const TimingModel& model,
-      const std::vector<const isa::Trace*>& traces) const;
-
   /// T over Q x I for a program and input set; functional traces (and their
   /// compiled replay forms) come from the engine's memoizing TraceStore.
   core::TimingMatrix computeMatrix(const TimingModel& model,
@@ -98,9 +96,6 @@ class ExperimentEngine {
   /// evaluator, deterministic for any thread count; results (values AND
   /// witnesses) are bit-identical to running the core:: evaluators over
   /// computeMatrix's output.
-  core::StreamingMeasures reduceCells(
-      const TimingModel& model,
-      const std::vector<const isa::Trace*>& traces) const;
   core::StreamingMeasures reduceCells(const TimingModel& model,
                                       const isa::Program& program,
                                       const std::vector<isa::Input>& inputs);
@@ -183,52 +178,27 @@ class ExperimentEngine {
   obs::RunReport report() const;
 
  private:
-  /// Tiled parallel walk over the grid; cell(q, i, worker) is invoked
-  /// exactly once per cell, worker ids are dense in [0, resolvedThreads()).
-  /// The walk's wall time is recorded into `phase` (pass nullptr to skip);
-  /// tiles/cells counters tick once per TILE, never per cell, so the
-  /// accounting stays off the per-cell hot path.
-  void runGrid(std::size_t numStates, std::size_t numInputs,
-               obs::PhaseAccum* phase,
-               const std::function<void(std::size_t, std::size_t, int)>& cell)
-      const;
+  /// One rectangle [qBegin, qEnd) x [iBegin, iEnd) of one grid — the unit
+  /// of work of walk().
+  struct Item {
+    GridSpec grid;
+    std::size_t qBegin, qEnd, iBegin, iEnd;
+  };
 
-  core::TimingMatrix matrixImpl(const TimingModel& model,
-                                const std::vector<const isa::Trace*>& traces,
-                                const std::vector<const ReplayProgram*>&
-                                    compiled) const;
-  /// The one streaming walk both reduceCells (full ranges) and
-  /// reduceCellsRange (a shard's sub-rectangle) delegate to, so the
-  /// shard-vs-single bit-identity contract rests on a single body.  The
-  /// accumulator always has the full (numStates x traces.size()) shape.
-  /// `classIds` (globally indexed, covering at least [iBegin, iEnd)) turns
-  /// on trace-class collapse: the walk spans |Q| x |classes-in-range| and
-  /// each class result fans out to its member inputs — pass nullptr for the
-  /// one-cell-per-input walk.  Witnesses use GLOBAL input indices either
-  /// way, so shard merges stay byte-exact.
-  core::StreamingMeasures reduceImpl(
-      const TimingModel& model, const std::vector<const isa::Trace*>& traces,
-      const std::vector<const ReplayProgram*>& compiled,
-      const std::vector<std::uint32_t>* classIds, std::size_t qBegin,
-      std::size_t qEnd, std::size_t iBegin, std::size_t iEnd) const;
-
-  /// Resolves (and memoizes) traces — and compiled forms when `packed` —
-  /// for inputs [iBegin, iEnd) on the worker pool.  Vectors are globally
-  /// indexed (size inputs.size(); entries outside the range stay null).
-  /// `classIds` (optional) additionally receives each input's
-  /// trace-equivalence class id from the store.
-  void resolveTraces(const isa::Program& program,
-                     const std::vector<isa::Input>& inputs, std::size_t
-                         iBegin,
-                     std::size_t iEnd, bool packed,
-                     std::vector<const isa::Trace*>& traces,
-                     std::vector<const ReplayProgram*>& compiled,
-                     std::vector<std::uint32_t>* classIds = nullptr);
-
-  /// Compiles traces locally for the trace-pointer entry points (the
-  /// program/inputs entry points reuse the store's cached compiled forms).
-  std::vector<ReplayProgram> compileLocal(
-      const std::vector<const isa::Trace*>& traces) const;
+  /// The one tiled walk every entry point delegates to, so the
+  /// shard-vs-single and batch-vs-single bit-identity contracts rest on a
+  /// single body.  Pass 1 resolves every item's input range on the pool
+  /// (lowering traces only for models on the packed path); pass 2 walks the
+  /// union of all items' tiles.  A column of the walk is a trace class when
+  /// collapseTraceClasses is on and a single input otherwise; witnesses use
+  /// GLOBAL input indices either way, so shard merges stay byte-exact.
+  /// Returns one full-shape accumulator per item — or, given `matrix` (one
+  /// item, never collapsed), writes every cell there and returns nothing.
+  /// Replay time lands in replay.batched when `batched`, else in
+  /// replay.packed/replay.interpreted by the item's path.
+  std::vector<core::StreamingMeasures> walk(
+      const std::vector<Item>& items, bool batched,
+      core::TimingMatrix* matrix = nullptr);
 
   bool packedPath(const TimingModel& model) const;
 

@@ -97,10 +97,6 @@ bool tracesIdentical(const isa::Trace& a, const isa::Trace& b) {
   return true;
 }
 
-TraceStore::Bucket& TraceStore::bucketFor(const std::string& key) {
-  return buckets_[std::hash<std::string>{}(key) & (kNumBuckets - 1)];
-}
-
 std::uint32_t TraceStore::classFor(const isa::Trace& trace) {
   const std::uint64_t fp = traceFingerprint(trace);
   std::lock_guard<std::mutex> lock(classMu_);
@@ -113,111 +109,58 @@ std::uint32_t TraceStore::classFor(const isa::Trace& trace) {
   return id;
 }
 
-TraceStore::Entry& TraceStore::entryFor(const isa::Program& program,
-                                        const isa::Input& input,
-                                        const std::string& key) {
-  Bucket& bucket = bucketFor(key);
-  {
-    std::lock_guard<std::mutex> lock(bucket.mu);
-    auto it = bucket.entries.find(key);
-    if (it != bucket.entries.end()) {
-      hits_.add();
-      return *it->second;
-    }
-  }
-  // Run outside the lock: functional execution dominates, and concurrent
-  // misses on the same key are harmless (the first insert wins and the
-  // traces are equal anyway).
-  auto run = isa::FunctionalCore::run(program, input);
-  if (!run.completed) {
-    throw std::runtime_error("program did not halt for input " + input.name);
-  }
-  auto entry = std::make_unique<Entry>();
-  entry->trace = std::move(run.trace);
-  std::lock_guard<std::mutex> lock(bucket.mu);
-  auto [it, inserted] = bucket.entries.try_emplace(key, std::move(entry));
-  // A lost race counts as a hit: the store already had the trace.
-  (inserted ? misses_ : hits_).add();
-  if (inserted) {
-    // Class assignment happens AFTER the insert race resolves, on the
-    // surviving entry, so the class table only ever holds representative
-    // pointers into published (never-destroyed) entries.  Lock order is
-    // bucket.mu -> classMu_, everywhere.
-    it->second->classId = classFor(it->second->trace);
-  }
-  return *it->second;
-}
-
-const isa::Trace& TraceStore::traceFor(const isa::Program& program,
-                                       const isa::Input& input) {
-  return entryFor(program, input, keyOf(program, input)).trace;
-}
-
-TraceStore::TraceRef TraceStore::traceRefFor(const isa::Program& program,
-                                             const isa::Input& input) {
-  const Entry& entry = entryFor(program, input, keyOf(program, input));
-  return TraceRef{&entry.trace, entry.classId};
-}
-
 TraceStore::EntryRef TraceStore::entryRefFor(const isa::Program& program,
-                                             const isa::Input& input) {
+                                             const isa::Input& input,
+                                             bool compile) {
   const std::string key = keyOf(program, input);
-  Bucket& bucket = bucketFor(key);
+  Bucket& bucket =
+      buckets_[std::hash<std::string>{}(key) & (kNumBuckets - 1)];
   Entry* entry = nullptr;
+  EntryRef ref{};
   {
     std::lock_guard<std::mutex> lock(bucket.mu);
-    auto it = bucket.entries.find(key);
-    if (it != bucket.entries.end()) {
+    if (const auto it = bucket.entries.find(key); it != bucket.entries.end()) {
       hits_.add();
       entry = it->second.get();
-      if (entry->compiled) {
-        // The steady-state path: one hash, one lock, both forms.
-        return EntryRef{&entry->trace, entry->compiled.get(), entry->classId};
-      }
+      ref = EntryRef{&entry->trace, entry->compiled.get(), entry->classId};
     }
   }
   if (entry == nullptr) {
-    // Trace and lowering both happen outside the lock; concurrent misses on
-    // the same key are harmless (the first insert wins, the forms are
-    // equal).
+    // The miss path.  Run outside the lock: functional execution dominates,
+    // and concurrent misses on the same key are harmless (the first insert
+    // wins and the traces are equal anyway).
     auto run = isa::FunctionalCore::run(program, input);
     if (!run.completed) {
       throw std::runtime_error("program did not halt for input " + input.name);
     }
     auto fresh = std::make_unique<Entry>();
     fresh->trace = std::move(run.trace);
-    fresh->compiled =
-        std::make_unique<ReplayProgram>(compileTrace(fresh->trace));
     std::lock_guard<std::mutex> lock(bucket.mu);
-    auto [it, inserted] = bucket.entries.try_emplace(key, std::move(fresh));
+    const auto [it, inserted] =
+        bucket.entries.try_emplace(key, std::move(fresh));
+    // A lost race counts as a hit: the store already had the trace.
     (inserted ? misses_ : hits_).add();
     entry = it->second.get();
     if (inserted) {
+      // Class assignment happens AFTER the insert race resolves, on the
+      // surviving entry, so the class table only ever holds representative
+      // pointers into published (never-destroyed) entries.  Lock order is
+      // bucket.mu -> classMu_, everywhere.
       entry->classId = classFor(entry->trace);
     }
-    if (entry->compiled) {
-      return EntryRef{&entry->trace, entry->compiled.get(), entry->classId};
-    }
-    // Lost the race against a traceFor() insert that carries no compiled
-    // form yet — lower the winner's trace below.
+    ref = EntryRef{&entry->trace, entry->compiled.get(), entry->classId};
   }
-  auto compiled = std::make_unique<ReplayProgram>(compileTrace(entry->trace));
-  std::lock_guard<std::mutex> lock(bucket.mu);
-  if (!entry->compiled) entry->compiled = std::move(compiled);
-  return EntryRef{&entry->trace, entry->compiled.get(), entry->classId};
-}
-
-const ReplayProgram& TraceStore::compiledFor(const isa::Program& program,
-                                             const isa::Input& input) {
-  return *entryRefFor(program, input).compiled;
-}
-
-std::vector<const isa::Trace*> TraceStore::tracesFor(
-    const isa::Program& program, const std::vector<isa::Input>& inputs) {
-  std::vector<const isa::Trace*> out;
-  out.reserve(inputs.size());
-  for (const auto& in : inputs) out.push_back(&traceFor(program, in));
-  return out;
+  if (compile && ref.compiled == nullptr) {
+    // The lowering step, on the first lookup that asks for the compiled
+    // form: lower the published trace outside the lock.  A concurrent
+    // lowering of the same entry is harmless (the first publish wins and
+    // the forms are equal).
+    auto lowered = std::make_unique<ReplayProgram>(compileTrace(entry->trace));
+    std::lock_guard<std::mutex> lock(bucket.mu);
+    if (!entry->compiled) entry->compiled = std::move(lowered);
+    ref.compiled = entry->compiled.get();
+  }
+  return ref;
 }
 
 std::size_t TraceStore::size() const {

@@ -1,6 +1,6 @@
 #pragma once
 // trace_store.h — Memoized functional traces, their compiled replay form,
-// and their trace-equivalence classes.
+// and their trace-equivalence classes, behind ONE lookup.
 //
 // Every timing model in this repository is trace-driven (isa/exec.h): the
 // functional trace of a program depends on the input i alone, never on the
@@ -9,8 +9,13 @@
 // trace for each (program, input) pair exactly once and shares it across
 // every hardware state, platform, and scenario that replays it — the
 // "shared precomputed structure" idea applied to Definition 2's inner loop.
-// The compiled ReplayProgram (exp/replay.h) of each trace is cached next to
-// it, lazily, so the packed replay kernels also lower each input once.
+//
+// entryRefFor is the only lookup.  It has one miss path (run the functional
+// core, publish the trace, assign its class) and one lowering step: the
+// compiled ReplayProgram (exp/replay.h) of an entry is built the first time
+// a lookup asks for it and cached next to the trace, so the packed replay
+// kernels lower each input once while interpreted-only callers
+// (compile = false) never pay for lowering.
 //
 // Keys are content fingerprints (program code + full memory layout + input
 // bindings), not object addresses, so two structurally identical programs
@@ -64,9 +69,7 @@ std::uint64_t programFingerprint(const isa::Program& program);
 /// Content fingerprint of one functional trace: FNV-1a over every dynamic
 /// record (pc, decoded instruction, branch outcome, successor, effective
 /// address, data-dependent latency).  Equal traces always hash equal; the
-/// class machinery below never trusts the converse.  Exposed for tests and
-/// for callers that group externally-computed traces (the engine's
-/// trace-pointer entry points).
+/// class machinery below never trusts the converse.  Exposed for tests.
 std::uint64_t traceFingerprint(const isa::Trace& trace);
 
 /// Exact record-for-record equality of two traces — the relation that
@@ -78,47 +81,28 @@ class TraceStore {
   /// Lock shards; a power of two so the hash maps onto buckets by mask.
   static constexpr std::size_t kNumBuckets = 16;
 
-  /// Returns the memoized trace of `program` on `input`, computing it on
-  /// first use.  Throws if the program does not halt on the input.  The
-  /// returned reference stays valid until clear()/destruction.
-  const isa::Trace& traceFor(const isa::Program& program,
-                             const isa::Input& input);
-
-  /// The compiled replay form of the same trace, lowered on first use and
-  /// cached next to it (computes the trace too when missing).
-  const ReplayProgram& compiledFor(const isa::Program& program,
-                                   const isa::Input& input);
-
-  /// Both forms plus the trace-equivalence class id with a single lookup
-  /// (and a single hit/miss count) — what the engine's packed path uses per
-  /// input.
+  /// The memoized entry of `program` on `input`: its trace, its
+  /// trace-equivalence class id and — when `compile` — its compiled replay
+  /// form.  The trace is computed on first use (throws std::runtime_error
+  /// if the program does not halt on the input); the compiled form is
+  /// lowered the first time a lookup asks for it.  `compiled` is non-null
+  /// whenever `compile` is set, and otherwise only if an earlier lookup
+  /// lowered the entry.  One lookup counts once as a hit or a miss, whether
+  /// or not it lowers.
   struct EntryRef {
     const isa::Trace* trace;
     const ReplayProgram* compiled;
     std::uint32_t classId;
   };
-  EntryRef entryRefFor(const isa::Program& program, const isa::Input& input);
-
-  /// Trace plus class id without forcing the compiled form — the engine's
-  /// interpreted path (where lowering would be pure waste) still gets to
-  /// collapse classes.
-  struct TraceRef {
-    const isa::Trace* trace;
-    std::uint32_t classId;
-  };
-  TraceRef traceRefFor(const isa::Program& program, const isa::Input& input);
-
-  /// Traces for a whole input set, in order.
-  std::vector<const isa::Trace*> tracesFor(
-      const isa::Program& program, const std::vector<isa::Input>& inputs);
+  EntryRef entryRefFor(const isa::Program& program, const isa::Input& input,
+                       bool compile = true);
 
   std::size_t size() const;
   /// Distinct trace-equivalence classes assigned so far (<= size()).
   std::size_t classCount() const;
   /// Lookup statistics, exact once concurrent fillers are joined (the
   /// counters are relaxed obs::Counters — see the memory-order contract in
-  /// obs/metrics.h; hit/miss attribution is per LOOKUP, so entryRefFor's
-  /// single combined lookup counts once however the entry path resolves).
+  /// obs/metrics.h; hit/miss attribution is per LOOKUP).
   /// Note the split is deterministic only for serial filling: when two
   /// workers race to miss on the same key, the loser's lookup counts as a
   /// hit (the store already had the trace by the time it inserted).
@@ -132,7 +116,8 @@ class TraceStore {
  private:
   struct Entry {
     isa::Trace trace;
-    /// Lazily lowered; unique_ptr for pointer stability once published.
+    /// Lowered on first request; unique_ptr for pointer stability once
+    /// published (always accessed under the owning bucket's lock).
     std::unique_ptr<ReplayProgram> compiled;
     /// Trace-equivalence class id, assigned once the entry is published
     /// (always accessed under the owning bucket's lock).
@@ -144,11 +129,6 @@ class TraceStore {
     std::unordered_map<std::string, std::unique_ptr<Entry>> entries;
   };
 
-  Bucket& bucketFor(const std::string& key);
-  /// The memoized entry, created (trace computed, class assigned) on first
-  /// use.
-  Entry& entryFor(const isa::Program& program, const isa::Input& input,
-                  const std::string& key);
   /// The class id of `trace`: the id of the existing class whose
   /// representative is record-for-record identical, or a fresh id.  `trace`
   /// must be owned by a published entry (its address is retained as the

@@ -269,7 +269,8 @@ Finding Query::evalOne(exp::ExperimentEngine& engine,
     std::vector<const isa::Trace*> traces;
     traces.reserve(w.inputs.size());
     for (const auto& in : w.inputs) {
-      traces.push_back(&engine.traceStore().traceFor(w.program, in));
+      traces.push_back(
+          engine.traceStore().entryRefFor(w.program, in, false).trace);
     }
     const auto fn = [&](std::size_t q, std::size_t i) {
       return model->time(q, *traces[i]);

@@ -22,6 +22,11 @@ struct BoundsCase {
   std::int64_t len;
 };
 
+// gtest prints the parameter into each listed test name. Its default byte
+// dump would embed the heap address held by `name`, which changes from run
+// to run, so print the workload name instead.
+void PrintTo(const BoundsCase& c, std::ostream* os) { *os << c.name; }
+
 class Figure1Soundness : public ::testing::TestWithParam<BoundsCase> {};
 
 TEST_P(Figure1Soundness, LbBcetWcetUbOrdered) {

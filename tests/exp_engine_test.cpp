@@ -5,11 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <vector>
 
 #include "analysis/exhaustive.h"
 #include "exp/engine.h"
 #include "exp/platform.h"
+#include "exp/replay.h"
 #include "exp/trace_store.h"
+#include "exp/worker_pool.h"
 #include "isa/ast.h"
 #include "isa/workloads.h"
 
@@ -99,7 +102,7 @@ TEST(TraceStore, MemoizedTracesEqualFreshTraces) {
   const auto inputs = testInputs(prog, 5);
   TraceStore store;
   for (const auto& in : inputs) {
-    const auto& memoized = store.traceFor(prog, in);
+    const auto& memoized = *store.entryRefFor(prog, in, false).trace;
     const auto fresh = isa::FunctionalCore::run(prog, in).trace;
     ASSERT_EQ(memoized.size(), fresh.size());
     for (std::size_t k = 0; k < fresh.size(); ++k) {
@@ -116,10 +119,17 @@ TEST(TraceStore, ComputesEachInputOnceAndReturnsStablePointers) {
   const auto prog = testProgram();
   const auto inputs = testInputs(prog, 6);
   TraceStore store;
-  const auto first = store.tracesFor(prog, inputs);
+  const auto traces = [&] {
+    std::vector<const isa::Trace*> out;
+    for (const auto& in : inputs) {
+      out.push_back(store.entryRefFor(prog, in, false).trace);
+    }
+    return out;
+  };
+  const auto first = traces();
   EXPECT_EQ(store.misses(), 6u);
   EXPECT_EQ(store.size(), 6u);
-  const auto second = store.tracesFor(prog, inputs);
+  const auto second = traces();
   EXPECT_EQ(store.misses(), 6u);  // no recomputation
   EXPECT_EQ(store.hits(), 6u);
   EXPECT_EQ(first, second);  // identical pointers
@@ -134,8 +144,8 @@ TEST(TraceStore, KeysByContentNotByObjectAddress) {
   EXPECT_NE(programFingerprint(progA), programFingerprint(different));
 
   TraceStore store;
-  store.traceFor(progA, isa::Input{});
-  store.traceFor(progB, isa::Input{});
+  store.entryRefFor(progA, isa::Input{}, false);
+  store.entryRefFor(progB, isa::Input{}, false);
   EXPECT_EQ(store.size(), 1u);
   EXPECT_EQ(store.hits(), 1u);
 }
@@ -182,8 +192,8 @@ TEST(TraceStore, CodeIdenticalProgramsWithDifferentBasesStayDistinct) {
   }
 
   TraceStore store;
-  store.traceFor(progA, isa::Input{});
-  store.traceFor(progB, isa::Input{});
+  store.entryRefFor(progA, isa::Input{}, false);
+  store.entryRefFor(progB, isa::Input{}, false);
   EXPECT_EQ(store.size(), 2u);
   EXPECT_EQ(store.misses(), 2u);
   EXPECT_EQ(store.hits(), 0u);
@@ -199,8 +209,8 @@ TEST(TraceStore, CodeIdenticalProgramsWithDifferentMemWordsDifferInTrace) {
   const auto progB = rawLoadProgram(small);
 
   TraceStore store;
-  const auto& traceA = store.traceFor(progA, isa::Input{});
-  const auto& traceB = store.traceFor(progB, isa::Input{});
+  const auto& traceA = *store.entryRefFor(progA, isa::Input{}, false).trace;
+  const auto& traceB = *store.entryRefFor(progB, isa::Input{}, false).trace;
   EXPECT_EQ(store.size(), 2u);
   ASSERT_EQ(traceA.size(), traceB.size());
   EXPECT_EQ(traceA[1].memWordAddr, 100);
@@ -217,13 +227,13 @@ TEST(TraceStore, TraceEquivalentInputsShareAClassId) {
   // Three trace-equal flavors of input 0: the input itself, a renamed exact
   // copy (same store key), and a copy with one never-read scratch word
   // (distinct store key, identical trace).
-  const auto ref0 = store.traceRefFor(prog, inputs[0]);
+  const auto ref0 = store.entryRefFor(prog, inputs[0], false);
   isa::Input renamed = inputs[0];
   renamed.name = "renamed";
-  const auto refRenamed = store.traceRefFor(prog, renamed);
+  const auto refRenamed = store.entryRefFor(prog, renamed, false);
   isa::Input scratch = inputs[0];
   scratch.mem[prog.layout.memWords - 1] = 42;
-  const auto refScratch = store.traceRefFor(prog, scratch);
+  const auto refScratch = store.entryRefFor(prog, scratch, false);
 
   EXPECT_EQ(ref0.classId, refRenamed.classId);
   EXPECT_EQ(ref0.trace, refRenamed.trace);  // same entry entirely
@@ -232,14 +242,14 @@ TEST(TraceStore, TraceEquivalentInputsShareAClassId) {
   EXPECT_TRUE(tracesIdentical(*ref0.trace, *refScratch.trace));
 
   // An input whose trace certainly differs (the key lands in slot 0, so
-  // the very first comparison ends the scan) gets its own class;
-  // entryRefFor and traceRefFor agree on ids.
+  // the very first comparison ends the scan) gets its own class; compiled
+  // and trace-only lookups agree on ids.
   isa::Input found = inputs[0];
   found.mem[prog.variables.at("a")] = 3;
   found.name = "found-at-0";
   const auto ref1 = store.entryRefFor(prog, found);
   EXPECT_NE(ref1.classId, ref0.classId);
-  EXPECT_EQ(store.traceRefFor(prog, found).classId, ref1.classId);
+  EXPECT_EQ(store.entryRefFor(prog, found, false).classId, ref1.classId);
 
   EXPECT_EQ(store.size(), 3u);        // input0, scratch, found
   EXPECT_EQ(store.classCount(), 2u);  // {input0, scratch}, {found}
@@ -247,14 +257,100 @@ TEST(TraceStore, TraceEquivalentInputsShareAClassId) {
   // clear() resets the class numbering along with the entries.
   store.clear();
   EXPECT_EQ(store.classCount(), 0u);
-  EXPECT_EQ(store.traceRefFor(prog, found).classId, 0u);
+  EXPECT_EQ(store.entryRefFor(prog, found, false).classId, 0u);
 }
 
 TEST(TraceStore, ThrowsOnNonHaltingProgram) {
   isa::Program infinite;
   infinite.code = {isa::Instr{isa::Op::JMP, 0, 0, 0, 0}};
   TraceStore store;
-  EXPECT_THROW(store.traceFor(infinite, isa::Input{}), std::runtime_error);
+  EXPECT_THROW(store.entryRefFor(infinite, isa::Input{}, false),
+               std::runtime_error);
+}
+
+/// Field-for-field equality of two compiled replay forms.
+void expectSameReplay(const ReplayProgram& a, const ReplayProgram& b) {
+  EXPECT_EQ(a.fetchPc, b.fetchPc);
+  EXPECT_EQ(a.dataAddr, b.dataAddr);
+  EXPECT_EQ(a.condBranchPc, b.condBranchPc);
+  EXPECT_EQ(a.condBranchTaken, b.condBranchTaken);
+  ASSERT_EQ(a.ops.size(), b.ops.size());
+  for (std::size_t k = 0; k < a.ops.size(); ++k) {
+    const ReplayOp& x = a.ops[k];
+    const ReplayOp& y = b.ops[k];
+    EXPECT_TRUE(x.memAddr == y.memAddr && x.pc == y.pc &&
+                x.extraLatency == y.extraLatency && x.cls == y.cls &&
+                x.flags == y.flags && x.numReads == y.numReads &&
+                x.rd == y.rd && x.reads[0] == y.reads[0] &&
+                x.reads[1] == y.reads[1] && x.reads[2] == y.reads[2])
+        << "op " << k;
+  }
+  EXPECT_EQ(a.numSingle, b.numSingle);
+  EXPECT_EQ(a.numMultiply, b.numMultiply);
+  EXPECT_EQ(a.numDivide, b.numDivide);
+  EXPECT_EQ(a.sumDivLatency, b.sumDivLatency);
+  EXPECT_EQ(a.numControl, b.numControl);
+  EXPECT_EQ(a.numTakenControl, b.numTakenControl);
+  EXPECT_EQ(a.numTakenCond, b.numTakenCond);
+  EXPECT_EQ(a.numNone, b.numNone);
+}
+
+TEST(TraceStore, TraceOnlyEntryIsLoweredOnFirstCompiledLookup) {
+  // The order a ScenarioSuite takes when an interpreted preset comes before
+  // a packed one on a shared store: the entry exists without a compiled
+  // form, and the packed lookup lowers it in place.
+  const auto prog = testProgram();
+  const auto inputs = testInputs(prog, 1);
+  TraceStore store;
+  const auto plain = store.entryRefFor(prog, inputs[0], false);
+  const auto lowered = store.entryRefFor(prog, inputs[0]);
+  EXPECT_EQ(plain.trace, lowered.trace);
+  EXPECT_EQ(plain.classId, lowered.classId);
+  EXPECT_EQ(plain.compiled, nullptr);
+  ASSERT_NE(lowered.compiled, nullptr);
+  expectSameReplay(*lowered.compiled, compileTrace(*lowered.trace));
+  EXPECT_EQ(store.misses(), 1u);
+  EXPECT_EQ(store.hits(), 1u);
+}
+
+TEST(TraceStore, ConcurrentMixedFillCountsExactly) {
+  // Each input is looked up three times in a row with alternating compile
+  // flags, so concurrent workers race trace-only and compiled lookups on
+  // the same entry.
+  const auto prog = testProgram();
+  const auto inputs = testInputs(prog, 24);
+  TraceStore store;
+  WorkerPool::shared().run(inputs.size() * 3, 8, [&](std::size_t k, int) {
+    store.entryRefFor(prog, inputs[k / 3], k % 2 == 0);
+  });
+  EXPECT_EQ(store.size(), 24u);
+  EXPECT_EQ(store.misses(), 24u);
+  EXPECT_EQ(store.hits() + store.misses(), 72u);
+  for (const auto& in : inputs) {
+    const auto ref = store.entryRefFor(prog, in);
+    ASSERT_NE(ref.compiled, nullptr);
+    EXPECT_EQ(store.entryRefFor(prog, in).compiled, ref.compiled);
+    EXPECT_EQ(store.entryRefFor(prog, in, false).compiled, ref.compiled);
+  }
+}
+
+TEST(ExperimentEngine, InterpretedPathNeverLowersTraces) {
+  const auto prog = testProgram();
+  const auto inputs = testInputs(prog, 6);
+  PlatformOptions opts;
+  opts.numStates = 4;
+  const auto model =
+      PlatformRegistry::instance().make("inorder-lru", prog, opts);
+  ASSERT_TRUE(model->supportsPackedReplay());
+  EngineConfig cfg;
+  cfg.usePackedReplay = false;
+  ExperimentEngine engine(cfg);
+  engine.computeMatrix(*model, prog, inputs);
+  engine.reduceCells(*model, prog, inputs);
+  for (const auto& in : inputs) {
+    EXPECT_EQ(engine.traceStore().entryRefFor(prog, in, false).compiled,
+              nullptr);
+  }
 }
 
 class ThrowingModel : public TimingModel {

@@ -140,7 +140,7 @@ TEST(Ooo, DrainModeMakesBlockTimesStateIndependent) {
     }
   }
   EXPECT_EQ(drained.size(), 1u);  // variability eliminated
-  EXPECT_GE(free.size(), 1u);
+  EXPECT_GT(free.size(), 1u);  // ...that exists without drain
 }
 
 TEST(Ooo, DrainCostsThroughput) {

@@ -240,8 +240,9 @@ TEST(PackedReplay, BitIdenticalForMruSnapshotModel) {
   exp::ExperimentEngine engine;
   exp::TraceStore store;
   for (std::size_t i = 0; i < inputs.size(); ++i) {
-    const auto& trace = store.traceFor(prog, inputs[i]);
-    const auto& rp = store.compiledFor(prog, inputs[i]);
+    const auto ref = store.entryRefFor(prog, inputs[i]);
+    const auto& trace = *ref.trace;
+    const auto& rp = *ref.compiled;
     for (std::size_t q = 0; q < model.numStates(); ++q) {
       EXPECT_EQ(model.time(q, trace), model.timePacked(q, rp))
           << "q=" << q << " i=" << i;
@@ -412,12 +413,12 @@ TEST(TraceStore, CachesCompiledFormNextToTrace) {
   const auto prog = testProgram();
   const auto inputs = testInputs(prog, 4);
   exp::TraceStore store;
-  const auto& rp1 = store.compiledFor(prog, inputs[0]);
-  const auto& rp2 = store.compiledFor(prog, inputs[0]);
+  const auto& rp1 = *store.entryRefFor(prog, inputs[0]).compiled;
+  const auto& rp2 = *store.entryRefFor(prog, inputs[0]).compiled;
   EXPECT_EQ(&rp1, &rp2);  // lowered once, stable pointer
   const auto ref = store.entryRefFor(prog, inputs[0]);
   EXPECT_EQ(ref.compiled, &rp1);
-  EXPECT_EQ(ref.trace, &store.traceFor(prog, inputs[0]));
+  EXPECT_EQ(ref.trace, store.entryRefFor(prog, inputs[0], false).trace);
 
   // The compiled form is the lowering of the memoized trace.
   const auto fresh = exp::compileTrace(*ref.trace);

@@ -292,7 +292,7 @@ TEST(WorkloadRegistry, DupPresetIsDuplicateHeavy) {
       WorkloadRegistry::instance().make("linearsearch-16x64-dup");
   ASSERT_EQ(w.inputs.size(), 64u);
   exp::TraceStore store;
-  for (const auto& in : w.inputs) store.traceRefFor(w.program, in);
+  for (const auto& in : w.inputs) store.entryRefFor(w.program, in, false);
   EXPECT_EQ(store.size(), 48u);
   EXPECT_EQ(store.classCount(), 16u);
 }
