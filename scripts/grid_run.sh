@@ -1,14 +1,16 @@
 #!/usr/bin/env sh
 # grid_run.sh — end-to-end smoke of the grid service: pred-grid-server +
-# subprocess workers + pred-grid-client, under fault injection.
+# its spawned `pred-shard-worker attach -` workers + pred-grid-client,
+# under fault injection.
 #
 # What it proves (the CI grid-smoke job and the grid_subprocess_smoke
 # ctest):
 #   1. a job submitted through the daemon comes back BYTE-FOR-BYTE
 #      identical to the single-process `pred-shard-worker single` run —
-#      while worker slot 0 deterministically dies on RECEIVING its first
-#      shard (--fault-first-worker-exit-after 0, so the death happens at
-#      every shard count) and is retried/respawned;
+#      while the first worker to receive a shard is SIGKILLed holding it
+#      (--fault-plan worker.exit:error, so the death happens at every
+#      shard count) and the shard is retried and the slot respawned
+#      (grid.worker.deaths and grid.shards.retried both advance);
 #   2. a second, uncached submission survives a `kill -9` of a live
 #      worker process and is still byte-identical;
 #   3. a third submission is served from the content-addressed result
@@ -16,7 +18,11 @@
 #      identical bytes;
 #   4. after a `kill -9` of the SERVER itself, a restart with the same
 #      --cache-dir serves the job from the recovered journal — still a
-#      cache hit, still identical bytes.
+#      cache hit, still identical bytes;
+#   5. a second daemon whose --worker-cmd announces another build's salt
+#      refuses every spawned worker at the hello: the submit fails, the
+#      daemon stays up, grid.worker.rejected_salt advances, and nothing
+#      is computed or cached.
 #
 # Attach mode (the CI grid-smoke attach leg and the grid_attach_smoke
 # ctest):
@@ -87,10 +93,12 @@ done
 
 TMP="$(mktemp -d)"
 SERVER_PID=
+STALE_PID=
 ATTACH_PIDS=
 cleanup() {
   for p in $ATTACH_PIDS; do kill -9 "$p" 2>/dev/null || true; done
   [ -n "$SERVER_PID" ] && kill -9 "$SERVER_PID" 2>/dev/null || true
+  [ -n "$STALE_PID" ] && kill -9 "$STALE_PID" 2>/dev/null || true
   rm -rf "$TMP"
 }
 trap cleanup EXIT
@@ -99,6 +107,20 @@ SOCK="$TMP/grid.sock"
 WSOCK="$TMP/workers.sock"
 CACHE_DIR="$TMP/cache"
 
+# wait_socket PATH PID ERRFILE — waits for daemon PID to create PATH.
+wait_socket() {
+  i=0
+  while [ ! -S "$1" ]; do
+    i=$((i + 1))
+    if [ "$i" -gt 100 ] || ! kill -0 "$2" 2>/dev/null; then
+      echo "error: server did not come up" >&2
+      cat "$3" >&2
+      exit 1
+    fi
+    sleep 0.1
+  done
+}
+
 # start_server [extra server flags...] — spawns the daemon on $SOCK with
 # the shared cache dir and waits for the socket.
 start_server() {
@@ -106,16 +128,7 @@ start_server() {
       --worker-cmd "$WORKER" --cache-dir "$CACHE_DIR" "$@" \
       > "$TMP/server.out" 2> "$TMP/server.err" &
   SERVER_PID=$!
-  i=0
-  while [ ! -S "$SOCK" ]; do
-    i=$((i + 1))
-    if [ "$i" -gt 100 ] || ! kill -0 "$SERVER_PID" 2>/dev/null; then
-      echo "error: server did not come up" >&2
-      cat "$TMP/server.err" >&2
-      exit 1
-    fi
-    sleep 0.1
-  done
+  wait_socket "$SOCK" "$SERVER_PID" "$TMP/server.err"
 }
 
 stop_server_hard() {
@@ -239,10 +252,11 @@ if [ -n "$CHAOS_SEED" ]; then
     POINT="${PLAN%%:*}"
     echo "== chaos round $r/$ROUNDS (seed $CHAOS_SEED): --fault-plan '$PLAN'" >&2
     start_server --fault-plan "$PLAN" --conn-timeout-ms 10000
-    # One attached worker rides along every round, so the worker.attach /
-    # worker.frame plans have a socket channel to fire on (its own death,
-    # rejection, or clean EOF at round teardown are all tolerated — the
-    # pipe slots carry the job either way).
+    # One attached worker rides along every round, so the worker.attach
+    # plans have a dial-in to fire on (worker.frame fires on it and on the
+    # spawned slots alike).  Its own death, rejection, or clean EOF at
+    # round teardown are all tolerated — the spawned slots carry the job
+    # either way.
     "$WORKER" attach "unix:$SOCK" > /dev/null 2> "$TMP/chaos-attach.err" &
     ATTACH_PIDS=$!
 
@@ -333,8 +347,8 @@ if [ -n "$CHAOS_SEED" ]; then
 fi
 
 # ---------------------------------------------------------------- smoke mode
-echo "== start: $WORKERS-worker grid server (slot 0 armed to die on its first shard)" >&2
-start_server --fault-first-worker-exit-after 0
+echo "== start: $WORKERS-worker grid server (worker.exit armed: the first worker to get a shard dies)" >&2
+start_server --fault-plan worker.exit:error
 
 echo "== job 1: $SHARDS shards, deterministic worker death mid-run" >&2
 "$CLIENT" submit --connect "unix:$SOCK" --platform "$PLATFORM" \
@@ -347,13 +361,13 @@ fi
 echo "OK: distributed result is byte-identical under deterministic worker death" >&2
 
 echo "== job 2: uncached rerun with a kill -9'd worker" >&2
-# A background killer nukes the first live `serve` worker it sees — the
+# A background killer nukes the first live `attach -` worker it sees — the
 # scheduler must detect the death (EOF/EPIPE), requeue the orphaned shard,
 # respawn the slot, and still produce identical bytes.
 (
   j=0
   while [ "$j" -lt 250 ]; do
-    WPID="$(pgrep -P "$SERVER_PID" -f serve 2>/dev/null | head -n1 || true)"
+    WPID="$(pgrep -P "$SERVER_PID" -f attach 2>/dev/null | head -n1 || true)"
     if [ -n "$WPID" ]; then
       kill -9 "$WPID" 2>/dev/null || true
       echo "killed worker pid $WPID" >&2
@@ -400,6 +414,10 @@ if ! grep -Eq 'grid\.worker\.deaths *\| *[1-9]' "$TMP/stats.txt"; then
   echo "FAIL: grid.worker.deaths counter did not advance" >&2
   exit 1
 fi
+if ! grep -Eq 'grid\.shards\.retried *\| *[1-9]' "$TMP/stats.txt"; then
+  echo "FAIL: the killed worker's lease was never requeued (grid.shards.retried)" >&2
+  exit 1
+fi
 
 echo "== job 4: kill -9 the SERVER, restart on the same --cache-dir" >&2
 # The crash-safety claim, end to end: no orderly shutdown, no fsync
@@ -424,5 +442,48 @@ echo "OK: kill -9'd server restarted on its journal; cache hit, bytes identical"
 "$CLIENT" shutdown --connect "unix:$SOCK"
 wait "$SERVER_PID"
 SERVER_PID=
+
+echo "== stale worker: a --worker-cmd from another build is refused at the hello" >&2
+# Every spawned child announces a foreign code-version salt; none may ever
+# evaluate a shard, and the daemon must survive refusing them all.
+STALE_SOCK="$TMP/stale.sock"
+printf '#!/bin/sh\nexec "%s" "$@" --salt stale-build\n' "$WORKER" \
+    > "$TMP/stale-worker.sh"
+chmod +x "$TMP/stale-worker.sh"
+"$SERVER" --listen "unix:$STALE_SOCK" --workers 1 --max-attempts 1 \
+    --worker-cmd "$TMP/stale-worker.sh" \
+    > "$TMP/stale.out" 2> "$TMP/stale.err" &
+STALE_PID=$!
+wait_socket "$STALE_SOCK" "$STALE_PID" "$TMP/stale.err"
+rc=0
+"$CLIENT" submit --connect "unix:$STALE_SOCK" --platform "$PLATFORM" \
+    --workload "$WORKLOAD" --states "$STATES" --shards "$SHARDS" \
+    --timeout 60 > "$TMP/stale.txt" 2> "$TMP/stale.meta" || rc=$?
+if [ "$rc" -ne 1 ] && [ "$rc" -ne 3 ]; then
+  echo "FAIL: a submit to stale-salt workers exited $rc; expected 1 or 3" >&2
+  cat "$TMP/stale.meta" >&2
+  exit 1
+fi
+if ! kill -0 "$STALE_PID" 2>/dev/null; then
+  echo "FAIL: the daemon died refusing stale-salt workers" >&2
+  cat "$TMP/stale.err" >&2
+  exit 1
+fi
+"$CLIENT" stats --connect "unix:$STALE_SOCK" > "$TMP/stale-stats.txt"
+cat "$TMP/stale-stats.txt" >&2
+if ! grep -Eq 'grid\.worker\.rejected_salt *\| *[1-9]' "$TMP/stale-stats.txt"; then
+  echo "FAIL: grid.worker.rejected_salt did not advance for stale children" >&2
+  exit 1
+fi
+if ! grep -Eq 'grid\.jobs *\| *0 *\|' "$TMP/stale-stats.txt" ||
+   ! grep -Eq 'grid\.cache\.hits *\| *0 *\|' "$TMP/stale-stats.txt"; then
+  echo "FAIL: a stale-salt worker computed or cached a result" >&2
+  exit 1
+fi
+"$CLIENT" shutdown --connect "unix:$STALE_SOCK"
+wait "$STALE_PID"
+STALE_PID=
+echo "OK: stale-salt workers refused, daemon alive, nothing computed" >&2
+
 echo "OK: grid service smoke passed" >&2
 cat "$TMP/job1.txt"

@@ -10,10 +10,10 @@
 #include <mutex>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "grid/fingerprint.h"
-#include "grid/net.h"
 #include "grid/protocol.h"
 
 namespace pred::grid {
@@ -36,13 +36,17 @@ struct ReplyLine {
 
 int runAttachWorker(const std::string& endpointText, ShardEvalFn eval,
                     const AttachOptions& options) {
+  return runAttachWorker(net::connectTo(net::parseEndpoint(endpointText),
+                                        options.connectTimeoutMs),
+                         std::move(eval), options);
+}
+
+int runAttachWorker(net::Fd fd, ShardEvalFn eval,
+                    const AttachOptions& options) {
   if (!eval)
     throw std::invalid_argument("attach worker: null shard evaluator");
   const std::size_t concurrency =
       options.concurrency == 0 ? 1 : options.concurrency;
-
-  net::Fd fd = net::connectTo(net::parseEndpoint(endpointText),
-                              options.connectTimeoutMs);
 
   WorkerHelloMsg hello;
   hello.salt = options.salt.empty() ? std::string(kCodeVersionSalt)

@@ -172,9 +172,9 @@ std::optional<std::size_t> tornLimitSlow(const char* point,
 
 const std::vector<std::string>& knownPoints() {
   static const std::vector<std::string> points = {
-      "net.read",     "net.write",     "proto.decode", "cache.load",
-      "cache.store",  "cache.journal", "sched.dispatch",
-      "worker.attach", "worker.frame"};
+      "net.read",      "net.write",     "proto.decode", "cache.load",
+      "cache.store",   "cache.journal", "sched.dispatch",
+      "worker.attach", "worker.frame",  "worker.exit"};
   return points;
 }
 

@@ -38,8 +38,14 @@
 //   cache.journal  the journal WRITE itself (torn-write injection)
 //   sched.dispatch shard handoff to a worker (all execution modes)
 //   worker.attach  server-side WorkerHello handshake of a dialing worker
-//   worker.frame   server-side frame traffic with an attached socket
-//                  worker (both the ShardAssign send and the reply drain)
+//                  (dial-ins only; spawned children are not covered)
+//   worker.frame   server-side frame traffic with any socket worker,
+//                  spawned child or dial-in (both the ShardAssign send and
+//                  the reply drain)
+//   worker.exit    right after a shard is written to a spawned child: a
+//                  firing error/epipe SIGKILLs that child with the lease in
+//                  flight, so its death takes the real EOF -> requeue ->
+//                  respawn path (`--fault-plan worker.exit:error`)
 //
 // Cost contract: when nothing is armed, a fault point is ONE relaxed
 // atomic load and a predicted-not-taken branch — cheap enough to leave in

@@ -21,8 +21,10 @@ constexpr char kMagic1 = 'G';
 }
 
 bool knownType(std::uint8_t t) {
+  // 8 and 9 are retired type bytes (protocol.h): never valid on the wire.
   return t >= static_cast<std::uint8_t>(FrameType::Submit) &&
-         t <= static_cast<std::uint8_t>(FrameType::Heartbeat);
+         t <= static_cast<std::uint8_t>(FrameType::Heartbeat) && t != 8 &&
+         t != 9;
 }
 
 /// Validates a complete 8-byte header; returns {type, payload length}.
@@ -191,7 +193,6 @@ void writeFrame(int fd, const Frame& frame, int timeoutMs) {
 namespace {
 constexpr const char* kJobCodec = "grid-job";
 constexpr const char* kResultCodec = "grid-result";
-constexpr const char* kCellCodec = "grid-shard-result";
 constexpr const char* kHelloCodec = "grid-worker-hello";
 constexpr const char* kAssignCodec = "grid-shard-assign";
 constexpr const char* kDoneCodec = "grid-shard-done";
@@ -254,30 +255,6 @@ JobResultMsg parseJobResultMsg(const std::string& payload) {
     badPayload(kResultCodec, "empty fingerprint");
   }
   msg.accumulatorText = payload.substr(pos);
-  return msg;
-}
-
-std::string encodeShardResultMsg(const ShardResultMsg& msg) {
-  std::ostringstream os;
-  os << "pred-grid-cell v1\n";
-  os << "report " << msg.reportText.size() << "\n";
-  os << msg.reportText << msg.accumulatorText;
-  return os.str();
-}
-
-ShardResultMsg parseShardResultMsg(const std::string& payload) {
-  std::size_t pos = 0;
-  if (!headerLine(kCellCodec, payload, pos, "pred-grid-cell v1").empty()) {
-    badPayload(kCellCodec, "malformed header line");
-  }
-  const auto reportBytes = lineNumber<std::size_t>(
-      kCellCodec, headerLine(kCellCodec, payload, pos, "report"), "report");
-  if (payload.size() - pos < reportBytes) {
-    badPayload(kCellCodec, "report length past end of payload");
-  }
-  ShardResultMsg msg;
-  msg.reportText = payload.substr(pos, reportBytes);
-  msg.accumulatorText = payload.substr(pos + reportBytes);
   return msg;
 }
 

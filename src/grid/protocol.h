@@ -1,12 +1,12 @@
 #pragma once
 // protocol.h — The grid service's framed wire protocol.
 //
-// Every message between grid components — client <-> pred-grid-server over
-// a socket, server <-> pred-shard-worker over pipes — is one length-
-// prefixed frame carrying an existing text wire format as its payload
-// (ShardSpec, StreamingMeasures accumulator, RunReport: the PR 5/6
-// formats).  The frame layer adds exactly what those formats lack for a
-// byte stream: self-delimiting boundaries and a strict, bounded header.
+// Every message between grid components — client <-> pred-grid-server,
+// server <-> pred-shard-worker — is one length-prefixed frame over a
+// socket, carrying an existing text wire format as its payload (ShardSpec,
+// StreamingMeasures accumulator, RunReport).  The frame layer adds exactly
+// what those formats lack for a byte stream: self-delimiting boundaries
+// and a strict, bounded header.
 //
 //   offset  bytes  field
 //        0      2  magic "PG"
@@ -24,26 +24,26 @@
 // reader; neither path can hang on garbage, because the header is fixed
 // size and the payload read is exact.
 //
-// The conversation grammar sits one level up, in the payload codecs below:
-// a client Submit carries a JobRequest (whole-grid ShardSpec + shard
-// count), the server answers Result (JobResultMsg: cache-hit flag +
-// fingerprint + accumulator bytes) or Error (message text); the scheduler
-// sends a worker Shard (ShardSpec text) and gets ShardResult
-// (ShardResultMsg: accumulator + RunReport).  Stats and Shutdown are
-// header-only requests.
+// Two conversations ride the framing, both in the payload codecs below.
 //
-// Remote worker attach adds a second conversation on the same framing: a
-// dialing worker opens with WorkerHello (WorkerHelloMsg: code-version
-// salt + concurrency), the server answers WorkerWelcome (or Error — a
-// salt mismatch is rejected at the door so a stale binary can never
-// poison the result cache), then shards flow as ShardAssign
-// (ShardAssignMsg: lease id + ShardSpec) answered by ShardDone
-// (ShardDoneMsg: the same lease id + result or failure text).  The lease
-// id exists because an attached worker may run several shards
-// concurrently and complete them out of order — pipe workers keep the
-// strictly serial Shard/ShardResult exchange unchanged.  Heartbeat is an
-// idle-liveness tick in either direction; a worker that goes silent past
-// the server's connection deadline is treated as half-open and dropped.
+// The client conversation: Submit carries a JobRequest (whole-grid
+// ShardSpec + shard count), the server answers Result (JobResultMsg:
+// cache-hit flag + fingerprint + accumulator bytes) or Error (message
+// text).  Stats and Shutdown are header-only requests.
+//
+// The worker conversation — the same for a worker the server spawned
+// (`pred-shard-worker attach -` on a socketpair) and one that dialed in:
+// the worker opens with WorkerHello (WorkerHelloMsg: code-version salt +
+// concurrency), the server answers WorkerWelcome (or Error — a salt
+// mismatch is rejected at the door so a stale binary can never poison the
+// result cache), then shards flow as ShardAssign (ShardAssignMsg: lease
+// id + ShardSpec) answered by ShardDone (ShardDoneMsg: the same lease id
+// + result or failure text).  The lease id lets a worker run several
+// shards concurrently and complete them out of order.  Heartbeat is an
+// idle-liveness tick in either direction.
+//
+// Type bytes 8 and 9 are retired (a one-shard-at-a-time pipe dialect) and
+// decode as unknown types; they are never reassigned.
 
 #include <cstddef>
 #include <cstdint>
@@ -69,8 +69,7 @@ enum class FrameType : std::uint8_t {
   StatsReply = 5,    ///< server -> client: RunReport wire text
   Shutdown = 6,      ///< client -> server: empty payload
   ShutdownAck = 7,   ///< server -> client: empty payload
-  Shard = 8,         ///< server -> worker: ShardSpec wire text
-  ShardResult = 9,   ///< worker -> server: ShardResultMsg payload
+  // 8 and 9 are retired; see the file comment.
   WorkerHello = 10,    ///< worker -> server: WorkerHelloMsg payload
   WorkerWelcome = 11,  ///< server -> worker: empty payload (attach accepted)
   ShardAssign = 12,    ///< server -> worker: ShardAssignMsg payload
@@ -136,16 +135,6 @@ struct JobResultMsg {
 std::string encodeJobResultMsg(const JobResultMsg& msg);
 JobResultMsg parseJobResultMsg(const std::string& payload);
 
-/// One evaluated shard coming back from a worker: the accumulator plus the
-/// RunReport telemetry the scheduler's cost model consumes.
-struct ShardResultMsg {
-  std::string accumulatorText;
-  std::string reportText;
-};
-
-std::string encodeShardResultMsg(const ShardResultMsg& msg);
-ShardResultMsg parseShardResultMsg(const std::string& payload);
-
 /// A worker dialing in: the code-version salt it was built with (must
 /// equal grid/fingerprint.h's kCodeVersionSalt or the handshake is
 /// rejected) and how many shards it will run concurrently (>= 1).
@@ -168,9 +157,9 @@ struct ShardAssignMsg {
 std::string encodeShardAssignMsg(const ShardAssignMsg& msg);
 ShardAssignMsg parseShardAssignMsg(const std::string& payload);
 
-/// An attached worker's answer to one ShardAssign: on ok the shard's
-/// accumulator + RunReport (the ShardResultMsg pair), otherwise the
-/// failure text — either way the lease id rides along, so an evaluation
+/// A worker's answer to one ShardAssign: on ok the shard's accumulator +
+/// the RunReport telemetry the scheduler's cost model consumes, otherwise
+/// the failure text — either way the lease id rides along, so an evaluation
 /// failure still frees the right lease.
 struct ShardDoneMsg {
   std::uint64_t id = 0;

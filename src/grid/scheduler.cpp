@@ -1,10 +1,6 @@
 #include "grid/scheduler.h"
 
-#include <poll.h>
-
 #include <algorithm>
-#include <cerrno>
-#include <cstring>
 #include <stdexcept>
 #include <utility>
 
@@ -249,31 +245,6 @@ JobOutcome WorkStealingScheduler::run(
   fc.eval = eval;
   fc.metrics = config_.metrics;
   WorkerFleet fleet(fc);
-  return drive(fleet, shards);
-}
-
-JobOutcome WorkStealingScheduler::runSubprocess(
-    const std::vector<exp::ShardSpec>& shards) {
-  if (shards.empty())
-    throw std::invalid_argument("grid scheduler: empty shard list");
-  if (config_.workerCommand.empty())
-    throw std::invalid_argument(
-        "grid scheduler: subprocess mode needs a worker command");
-  FleetConfig fc;
-  fc.pipeSlots = static_cast<int>(std::min<std::size_t>(
-      static_cast<std::size_t>(config_.workers), shards.size()));
-  fc.workerCommand = config_.workerCommand;
-  fc.firstWorkerExtraArgs = config_.firstWorkerExtraArgs;
-  fc.maxSpawnsPerSlot = config_.maxSpawnsPerSlot;
-  fc.shardTimeoutMs = config_.shardTimeoutMs;
-  fc.metrics = config_.metrics;
-  WorkerFleet fleet(fc);
-  return drive(fleet, shards);
-}
-
-JobOutcome WorkStealingScheduler::drive(
-    WorkerFleet& fleet, const std::vector<exp::ShardSpec>& shards) {
-  using Clock = ShardQueue::Clock;
   ShardQueue queue(ShardQueue::Policy{config_.maxAttempts,
                                       config_.retryBackoffMs,
                                       config_.metrics});
@@ -281,9 +252,9 @@ JobOutcome WorkStealingScheduler::drive(
   const std::uint64_t job = queue.addJob(shards);
 
   try {
+    std::vector<pollfd> ownFds;  // stays empty: only channels to poll
     for (;;) {
       fleet.dispatch(queue);
-
       const std::vector<ShardQueue::Settled> settled = queue.takeSettled();
       if (!settled.empty()) {
         const ShardQueue::Settled& s = settled.front();
@@ -294,48 +265,7 @@ JobOutcome WorkStealingScheduler::drive(
         outcome.workerDeaths = fleet.deaths();
         return outcome;
       }
-
-      if (fleet.exhausted())
-        throw std::runtime_error(
-            "grid scheduler: every worker slot exhausted its spawn budget "
-            "with shards left");
-
-      // Sleep until the next event: a result/EOF on a channel fd, the
-      // earliest backoff gate, or the earliest deadline.
-      int timeoutMs = -1;
-      const Clock::time_point now = Clock::now();
-      const auto consider = [&](Clock::time_point t) {
-        const auto ms =
-            std::chrono::duration_cast<std::chrono::milliseconds>(t - now)
-                .count();
-        const int clamped =
-            ms < 0 ? 0 : (ms > 60000 ? 60000 : static_cast<int>(ms));
-        if (timeoutMs < 0 || clamped < timeoutMs) timeoutMs = clamped + 1;
-      };
-      if (const auto gate = queue.earliestGate()) consider(*gate);
-      if (const auto deadline = fleet.nextDeadline()) consider(*deadline);
-
-      std::vector<pollfd> fds;
-      std::vector<WorkerChannel*> chans;
-      fleet.appendPollFds(fds, chans);
-      const int rc = ::poll(fds.data(), fds.size(), timeoutMs);
-      if (rc < 0 && errno != EINTR)
-        throw std::runtime_error(std::string("grid scheduler: poll: ") +
-                                 std::strerror(errno));
-
-      if (rc > 0)
-        for (std::size_t j = 0; j < fds.size(); ++j) {
-          if (fds[j].revents == 0) continue;
-          WorkerChannel* ch = chans[j];
-          // A channel may have been destroyed handling an earlier fd.
-          if (!fleet.owns(ch) || !ch->alive()) continue;
-          if (fds[j].revents & POLLIN)
-            fleet.onReadable(ch, queue);
-          else  // POLLHUP / POLLERR / POLLNVAL without data
-            fleet.onHangup(ch, queue);
-        }
-
-      fleet.checkDeadlines(queue);
+      fleet.step(queue, ownFds);
     }
   } catch (...) {
     // Whatever the cost model learned before the failure still counts.

@@ -17,27 +17,22 @@
 //                         jobs can never share or reorder each other's
 //                         results.
 //
-//   WorkerChannel         transport: HOW a shard reaches a worker — pipe
-//   (worker_channel.h)    subprocess, attached socket worker, or local
-//                         evaluator thread — behind one poll()-able
-//                         interface a single event loop multiplexes.
+//   WorkerChannel         transport: HOW a shard reaches a worker — a
+//   (worker_channel.h)    socket worker (spawned child or dial-in) or a
+//                         local evaluator thread — behind one poll()-able
+//                         interface; WorkerFleet::step is the one poll
+//                         loop that multiplexes them.
 //
 // WorkStealingScheduler composes the two for the standalone single-job
-// callers (tests, bench, the in-process example).  Its modes build a
-// WorkerFleet and drive one event loop:
+// callers (tests, bench, the in-process example): run(shards, eval)
+// builds a fleet of config.workers LocalChannels (in-process evaluator
+// threads; a throwing eval is a failed attempt) and turns dispatch ->
+// settled? -> WorkerFleet::step until the job settles.
 //
-//   run(shards, eval)   — config.workers LocalChannels (in-process
-//                         evaluator threads); a throwing eval is a failed
-//                         attempt.
-//   runSubprocess(...)  — config.workers PipeChannels (persistent
-//                         config.workerCommand children speaking the
-//                         framed protocol over stdin/stdout); death by
-//                         EOF / POLLHUP / write-EPIPE / timeout is
-//                         survived by respawn (bounded per slot).
-//
-// GridServer drives the same ShardQueue/WorkerFleet pair directly from
-// its connection event loop, which is what lets attached socket workers
-// and multiple concurrent client jobs share these exact semantics.
+// GridServer drives the same ShardQueue/WorkerFleet pair from its
+// connection event loop, handing its listener and connection fds to the
+// same step, which is what lets spawned and dial-in workers and multiple
+// concurrent client jobs share these exact semantics.
 //
 // Fault tolerance is one story everywhere: a failed attempt requeues the
 // shard with exponential backoff until maxAttempts, at which point the
@@ -62,29 +57,27 @@
 namespace pred::grid {
 
 struct SchedulerConfig {
-  /// Worker slots (LocalChannel threads in run(), PipeChannel children in
-  /// runSubprocess()).  Clamped to >= 1 by WorkStealingScheduler; a
-  /// GridServer additionally accepts 0 for attach-only fleets.
+  /// Worker slots (LocalChannel threads in run(); spawned children or
+  /// evaluator threads in a GridServer).  Clamped to >= 1 by
+  /// WorkStealingScheduler; a GridServer additionally accepts 0 for
+  /// attach-only fleets.
   int workers = 2;
   /// Attempts per shard before its job fails (>= 1).
   int maxAttempts = 3;
-  /// Spawns per subprocess slot (initial spawn + respawns) before the slot
-  /// is retired (>= 1).
+  /// Spawns per spawned-child slot (initial spawn + respawns) before the
+  /// slot is retired (>= 1).
   int maxSpawnsPerSlot = 4;
   /// Base retry backoff; attempt k waits retryBackoffMs * 2^(k-1), capped
   /// at 60 s (the exponent is also clamped, so an arbitrarily large
   /// maxAttempts cannot overflow the shift).
   std::uint64_t retryBackoffMs = 25;
-  /// Per-shard wall-time budget for pipe/socket workers; a worker that
-  /// exceeds it is killed and its shard retried.  0 disables the timeout.
+  /// Per-shard wall-time budget for socket workers; a worker that exceeds
+  /// it is killed and its shard retried.  0 disables the timeout.
   std::uint64_t shardTimeoutMs = 0;
-  /// Subprocess mode: argv prefix of the worker binary; the scheduler
-  /// appends "serve".  E.g. {"./pred-shard-worker"}.
+  /// GridServer without an evaluator: argv prefix of the worker binary
+  /// its fixed slots spawn; the fleet appends "attach -".  E.g.
+  /// {"./pred-shard-worker"}.
   std::vector<std::string> workerCommand;
-  /// Fault injection: extra argv appended to slot 0's FIRST spawn only
-  /// (respawns come up clean), e.g. {"--exit-after", "1"} to make one
-  /// worker die mid-run deterministically.
-  std::vector<std::string> firstWorkerExtraArgs;
   /// When set, the scheduler ticks grid.shards.dispatched / .retried and
   /// grid.worker.spawns / .deaths counters here.
   obs::MetricsRegistry* metrics = nullptr;
@@ -218,8 +211,6 @@ class ShardQueue {
   double ewmaNsPerCell_ = 0.0;
 };
 
-class WorkerFleet;
-
 class WorkStealingScheduler {
  public:
   explicit WorkStealingScheduler(SchedulerConfig config);
@@ -230,12 +221,6 @@ class WorkStealingScheduler {
   JobOutcome run(const std::vector<exp::ShardSpec>& shards,
                  const ShardEvalFn& eval);
 
-  /// Evaluates `shards` across persistent config.workerCommand child
-  /// processes (see file comment).  Throws std::runtime_error when a shard
-  /// exhausts maxAttempts or every worker slot is retired with work left.
-  /// All children are reaped before any throw propagates.
-  JobOutcome runSubprocess(const std::vector<exp::ShardSpec>& shards);
-
   /// The cost model's current estimate (EWMA over completed shards'
   /// report wall time / cells); 0 before any shard completes.  Persists
   /// across run() calls, so a server's later jobs start calibrated.
@@ -244,11 +229,6 @@ class WorkStealingScheduler {
   const SchedulerConfig& config() const { return config_; }
 
  private:
-  /// Runs `shards` as one job through `fleet`'s channels: dispatch, poll,
-  /// drain, deadlines — until the job settles.
-  JobOutcome drive(WorkerFleet& fleet,
-                   const std::vector<exp::ShardSpec>& shards);
-
   SchedulerConfig config_;
   double ewmaNsPerCell_ = 0.0;
 };

@@ -3,7 +3,6 @@
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
-#include <poll.h>
 #include <sys/socket.h>
 
 #include <algorithm>
@@ -76,9 +75,8 @@ FleetConfig makeFleetConfig(const ServerConfig& config,
     fc.localSlots = workers;
     fc.eval = config.eval;
   } else {
-    fc.pipeSlots = workers;
+    fc.spawnSlots = workers;
     fc.workerCommand = config.scheduler.workerCommand;
-    fc.firstWorkerExtraArgs = config.scheduler.firstWorkerExtraArgs;
   }
   fc.maxSpawnsPerSlot = config.scheduler.maxSpawnsPerSlot;
   fc.shardTimeoutMs = config.scheduler.shardTimeoutMs;
@@ -107,9 +105,9 @@ GridServer::GridServer(ServerConfig config)
   // Touch every counter the server can tick so statsReport() enumerates
   // them (as zeros) even before the first job.
   for (const char* name :
-       {"grid.jobs", "grid.cache.hits", "grid.cache.misses",
-        "grid.shards.dispatched", "grid.shards.retried", "grid.worker.spawns",
-        "grid.worker.deaths", "grid.worker.attached",
+       {"grid.jobs", "grid.jobs.failed", "grid.cache.hits",
+        "grid.cache.misses", "grid.shards.dispatched", "grid.shards.retried",
+        "grid.worker.spawns", "grid.worker.deaths", "grid.worker.attached",
         "grid.worker.rejected_salt", "grid.connections", "grid.bad_frames",
         "grid.conn.dropped", "grid.conn.timeout", "grid.cache.recovered",
         "grid.cache.persist_errors"})
@@ -130,28 +128,6 @@ std::string GridServer::boundWorkerEndpointText() const {
   net::Endpoint ep = net::parseEndpoint(config_.workerEndpoint);
   if (!ep.isUnix) ep.port = boundWorkerPort_;
   return net::endpointText(ep);
-}
-
-int GridServer::pollTimeoutMs() const {
-  int timeoutMs = -1;
-  const Clock::time_point now = Clock::now();
-  const auto consider = [&](Clock::time_point t) {
-    const auto ms =
-        std::chrono::duration_cast<std::chrono::milliseconds>(t - now)
-            .count();
-    const int clamped =
-        ms < 0 ? 0 : (ms > 60000 ? 60000 : static_cast<int>(ms));
-    if (timeoutMs < 0 || clamped < timeoutMs) timeoutMs = clamped + 1;
-  };
-  if (const auto gate = queue_.earliestGate()) consider(*gate);
-  if (const auto deadline = fleet_.nextDeadline()) consider(*deadline);
-  if (config_.connTimeoutMs > 0) {
-    const auto budget = std::chrono::milliseconds(config_.connTimeoutMs);
-    for (const auto& conn : conns_)
-      if (!conn->closing && conn->job == 0)
-        consider(conn->lastActivity + budget);
-  }
-  return timeoutMs;
 }
 
 void GridServer::serveForever() {
@@ -183,59 +159,46 @@ void GridServer::serveForever() {
                        }),
         conns_.end());
 
+    // One poll for everything: the listeners and connections here, the
+    // worker channels appended by the fleet.  An idle connection's
+    // deadline is this loop's own wake-up time.
     std::vector<pollfd> fds;
     fds.push_back({listenFd_.get(), POLLIN, 0});
     if (workerListenFd_.valid())
       fds.push_back({workerListenFd_.get(), POLLIN, 0});
     const std::size_t firstConn = fds.size();
     const std::size_t connCount = conns_.size();
-    for (const auto& conn : conns_)
+    std::optional<Clock::time_point> idleDeadline;
+    const auto budget = std::chrono::milliseconds(config_.connTimeoutMs);
+    for (const auto& conn : conns_) {
       fds.push_back({conn->fd.get(), POLLIN, 0});
-    const std::size_t firstChan = fds.size();
-    std::vector<WorkerChannel*> chans;
-    fleet_.appendPollFds(fds, chans);
+      if (config_.connTimeoutMs > 0 && conn->job == 0 &&
+          (!idleDeadline || conn->lastActivity + budget < *idleDeadline))
+        idleDeadline = conn->lastActivity + budget;
+    }
+    fleet_.step(queue_, fds, idleDeadline);
 
-    const int rc = ::poll(fds.data(), fds.size(), pollTimeoutMs());
-    if (rc < 0 && errno != EINTR)
-      throw std::runtime_error(std::string("grid server: poll: ") +
-                               std::strerror(errno));
-
-    if (rc > 0) {
-      if (fds[0].revents != 0) acceptPending(listenFd_.get());
-      if (workerListenFd_.valid() && fds[1].revents != 0)
-        acceptPending(workerListenFd_.get());
-      // conns_ may have grown during accept; new entries were appended,
-      // so the first connCount indices still line up with the pollfds.
-      for (std::size_t k = 0; k < connCount; ++k) {
-        if (fds[firstConn + k].revents == 0) continue;
-        Conn& conn = *conns_[k];
-        if (conn.closing || !conn.fd.valid()) continue;
-        // POLLHUP with pending data still reads; read() returning 0 is
-        // the one true EOF signal.
-        readConn(conn);
-      }
-      for (std::size_t k = 0; k < chans.size(); ++k) {
-        if (fds[firstChan + k].revents == 0) continue;
-        WorkerChannel* ch = chans[k];
-        // A channel may have been destroyed handling an earlier fd.
-        if (!fleet_.owns(ch) || !ch->alive()) continue;
-        if (fds[firstChan + k].revents & POLLIN)
-          fleet_.onReadable(ch, queue_);
-        else  // POLLHUP / POLLERR / POLLNVAL without data
-          fleet_.onHangup(ch, queue_);
-      }
+    if (fds[0].revents != 0) acceptPending(listenFd_.get());
+    if (workerListenFd_.valid() && fds[1].revents != 0)
+      acceptPending(workerListenFd_.get());
+    // conns_ may have grown during accept; new entries were appended, so
+    // the first connCount indices still line up with the pollfds.
+    for (std::size_t k = 0; k < connCount; ++k) {
+      if (fds[firstConn + k].revents == 0) continue;
+      Conn& conn = *conns_[k];
+      if (conn.closing || !conn.fd.valid()) continue;
+      // POLLHUP with pending data still reads; read() returning 0 is the
+      // one true EOF signal.
+      readConn(conn);
     }
 
-    fleet_.checkDeadlines(queue_);
     if (config_.connTimeoutMs > 0) {
       const Clock::time_point now = Clock::now();
-      const auto budget = std::chrono::milliseconds(config_.connTimeoutMs);
       for (const auto& conn : conns_)
         if (!conn->closing && conn->job == 0 &&
             conn->lastActivity + budget <= now)
           dropConnDeadlined(*conn);
     }
-
   }
 
   // Shutdown: drop every connection and stop the fleet gracefully.
@@ -387,16 +350,11 @@ bool GridServer::onWorkerHello(Conn& conn, const Frame& frame) {
     tryWriteFrame(conn.fd.get(), Frame{FrameType::Error, e.what()}, timeout);
     return false;
   }
-  if (hello->salt != kCodeVersionSalt) {
+  if (const std::string why = saltMismatch(hello->salt); !why.empty()) {
     // A worker built from different code must never evaluate shards:
     // byte-identity across the fleet is the whole contract.
     metrics_.counter("grid.worker.rejected_salt").add();
-    tryWriteFrame(conn.fd.get(),
-                  Frame{FrameType::Error,
-                        "grid server: code-version salt mismatch (server " +
-                            std::string(kCodeVersionSalt) + ", worker " +
-                            hello->salt + ")"},
-                  timeout);
+    tryWriteFrame(conn.fd.get(), Frame{FrameType::Error, why}, timeout);
     return false;
   }
   if (tryWriteFrame(conn.fd.get(), Frame{FrameType::WorkerWelcome, ""},
@@ -504,6 +462,7 @@ void GridServer::settleJobs() {
                         JobResultMsg{false, js.fingerprint,
                                      std::move(bytes)})};
     } else {
+      metrics_.counter("grid.jobs.failed").add();
       reply = Frame{FrameType::Error, settled.error};
     }
 

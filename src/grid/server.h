@@ -4,10 +4,12 @@
 // A GridServer owns the listening socket(s), the result cache, the shard
 // queue + worker fleet, and the grid.* metrics; tools/grid_server.cpp is
 // a thin argv shell around it, and tests drive the same class in-process.
-// One poll()-based event loop multiplexes EVERYTHING the daemon talks to:
-// the client listener (plus an optional dedicated worker listener), every
-// accepted connection, and every worker channel — so N clients and M
-// workers make progress concurrently in a single thread, with no locking.
+// One poll() multiplexes EVERYTHING the daemon talks to: each turn of
+// serveForever hands the client listener (plus an optional dedicated
+// worker listener) and every accepted connection to WorkerFleet::step,
+// which adds every worker channel and polls them all at once — so N
+// clients and M workers make progress concurrently in a single thread,
+// with no locking.
 //
 // A connection's role is decided by its FIRST frame:
 //   - WorkerHello: a remote worker dialing in (pred-shard-worker attach).
@@ -26,11 +28,14 @@
 //
 // The worker fleet is persistent across jobs: config.scheduler.workers
 // fixed slots (in-process evaluator threads when config.eval is set,
-// persistent worker children from scheduler.workerCommand otherwise;
-// workers may be 0 for an attach-only server) plus any number of
-// dynamically attached socket workers.  Worker death — EOF, POLLHUP,
-// write-EPIPE, shard timeout, kill -9 of an attached worker — requeues
-// the dead worker's leases and the affected jobs complete byte-identical.
+// otherwise `<scheduler.workerCommand> attach -` children on socketpairs,
+// which hold the same hello/salt/lease conversation as a dial-in; workers
+// may be 0 for an attach-only server) plus any number of dynamically
+// attached dial-in workers.  Worker death — EOF, POLLHUP, write-EPIPE,
+// shard timeout, kill -9 of any worker process — requeues the dead
+// worker's leases and the affected jobs complete byte-identical.  A job
+// that fails anyway (attempts exhausted, or every spawned slot spent)
+// ticks grid.jobs.failed; grid.jobs counts the ones that succeeded.
 //
 // Result caching: the job's fingerprint (grid/fingerprint.h) is looked up
 // first — a hit answers in O(1) with the EXACT bytes computed before,
@@ -82,7 +87,7 @@ struct ServerConfig {
   /// Staleness bound for IDLE attached workers (heartbeats reset it); one
   /// that exceeds it is treated as half-open and detached.  0 = disabled.
   std::uint64_t idleWorkerTimeoutMs = 0;
-  /// In-process evaluator; leave empty to run subprocess workers from
+  /// In-process evaluator; leave empty to spawn `attach -` workers from
   /// scheduler.workerCommand.
   ShardEvalFn eval;
 };
@@ -149,7 +154,6 @@ class GridServer {
   /// Replies to every job the queue settled since the last call.
   void settleJobs();
   void dropConnDeadlined(Conn& conn);
-  int pollTimeoutMs() const;
 
   ServerConfig config_;
   net::Endpoint endpoint_;

@@ -2,6 +2,7 @@
 
 #include <fcntl.h>
 #include <signal.h>
+#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -12,6 +13,7 @@
 #include <utility>
 
 #include "grid/faultpoint.h"
+#include "grid/fingerprint.h"
 #include "grid/protocol.h"
 
 namespace pred::grid {
@@ -33,6 +35,12 @@ void compactBuffer(std::string& buf, std::size_t& off) {
 }
 
 }  // namespace
+
+std::string saltMismatch(const std::string& salt) {
+  if (salt == kCodeVersionSalt) return {};
+  return "grid server: code-version salt mismatch (server " +
+         std::string(kCodeVersionSalt) + ", worker " + salt + ")";
+}
 
 // ---------------------------------------------------------- WorkerChannel
 
@@ -66,165 +74,6 @@ bool WorkerChannel::noteSettled(std::uint64_t token) {
   return false;
 }
 
-// ------------------------------------------------------------ PipeChannel
-
-PipeChannel::PipeChannel(const std::vector<std::string>& argvStrings) {
-  int inPipe[2], outPipe[2];
-  if (::pipe(inPipe) != 0)
-    throw std::runtime_error(std::string("grid worker: pipe: ") +
-                             std::strerror(errno));
-  if (::pipe(outPipe) != 0) {
-    ::close(inPipe[0]);
-    ::close(inPipe[1]);
-    throw std::runtime_error(std::string("grid worker: pipe: ") +
-                             std::strerror(errno));
-  }
-  // Parent-held ends must not leak into any child's exec image — a stray
-  // inherited write end would defeat EOF-based death detection.
-  setCloexec(inPipe[1]);
-  setCloexec(outPipe[0]);
-
-  const pid_t pid = ::fork();
-  if (pid < 0) {
-    ::close(inPipe[0]);
-    ::close(inPipe[1]);
-    ::close(outPipe[0]);
-    ::close(outPipe[1]);
-    throw std::runtime_error(std::string("grid worker: fork: ") +
-                             std::strerror(errno));
-  }
-  if (pid == 0) {
-    ::dup2(inPipe[0], STDIN_FILENO);
-    ::dup2(outPipe[1], STDOUT_FILENO);
-    ::close(inPipe[0]);
-    ::close(outPipe[1]);
-    std::vector<char*> argv;
-    argv.reserve(argvStrings.size() + 1);
-    for (const std::string& a : argvStrings)
-      argv.push_back(const_cast<char*>(a.c_str()));
-    argv.push_back(nullptr);
-    ::execvp(argv[0], argv.data());
-    // Exec failed; stderr is still the parent's.
-    ::perror("pred-grid worker exec");
-    ::_exit(127);
-  }
-  ::close(inPipe[0]);
-  ::close(outPipe[1]);
-  pid_ = pid;
-  in_.reset(inPipe[1]);
-  out_.reset(outPipe[0]);
-  alive_ = true;
-  peer_ = "pipe:pid=" + std::to_string(static_cast<long>(pid));
-}
-
-PipeChannel::~PipeChannel() { kill(); }
-
-void PipeChannel::reap() {
-  if (pid_ > 0) {
-    ::kill(pid_, SIGKILL);  // no-op if already exited
-    int status = 0;
-    while (::waitpid(pid_, &status, 0) < 0 && errno == EINTR) {
-    }
-  }
-  pid_ = -1;
-  in_.reset();
-  out_.reset();
-  buf_.clear();
-  off_ = 0;
-  alive_ = false;
-}
-
-std::vector<ChannelEvent> PipeChannel::die(const std::string& why) {
-  alive_ = false;
-  ChannelEvent ev;
-  ev.kind = ChannelEvent::Kind::Died;
-  ev.why = why;
-  return {std::move(ev)};
-}
-
-void PipeChannel::dispatch(std::uint64_t token, const exp::ShardSpec& spec) {
-  writeFrame(in_.get(),
-             Frame{FrameType::Shard, exp::serializeShardSpec(spec)});
-  noteDispatched(token);
-}
-
-std::vector<ChannelEvent> PipeChannel::drain() {
-  char chunk[65536];
-  const ssize_t r = ::read(out_.get(), chunk, sizeof chunk);
-  if (r < 0) {
-    if (errno == EINTR || errno == EAGAIN) return {};
-    return die(std::string("worker read error: ") + std::strerror(errno));
-  }
-  if (r == 0) return die("worker closed its pipe (EOF)");
-  lastHeard_ = Clock::now();
-  buf_.append(chunk, static_cast<std::size_t>(r));
-  std::vector<ChannelEvent> events;
-  try {
-    while (std::optional<Frame> f = decodeFrame(buf_, off_)) {
-      if (inFlight_.empty())
-        throw std::invalid_argument("frame from an idle worker");
-      const std::uint64_t token = inFlight_.front().token;
-      if (f->type == FrameType::ShardResult) {
-        ShardResultMsg msg = parseShardResultMsg(f->payload);
-        ChannelEvent ev;
-        ev.kind = ChannelEvent::Kind::Done;
-        ev.token = token;
-        ev.output =
-            ShardOutput{core::StreamingMeasures::deserialize(
-                            msg.accumulatorText),
-                        obs::RunReport::deserialize(msg.reportText)};
-        noteSettled(token);
-        ++completedCount_;
-        events.push_back(std::move(ev));
-      } else if (f->type == FrameType::Error) {
-        ChannelEvent ev;
-        ev.kind = ChannelEvent::Kind::Failed;
-        ev.token = token;
-        ev.why = "worker error: " + f->payload;
-        noteSettled(token);
-        events.push_back(std::move(ev));
-      } else {
-        throw std::invalid_argument("unexpected frame type from worker");
-      }
-    }
-    compactBuffer(buf_, off_);
-  } catch (const std::exception& e) {
-    // A worker speaking garbage is as dead as one that exited: its
-    // stream can't be resynchronized.  Earlier well-formed results in
-    // this drain still count.
-    std::vector<ChannelEvent> death =
-        die(std::string("worker protocol violation: ") + e.what());
-    events.push_back(std::move(death.front()));
-  }
-  return events;
-}
-
-std::vector<ChannelEvent> PipeChannel::hangup() {
-  return die("worker hung up");
-}
-
-void PipeChannel::shutdown() {
-  if (!alive_) return;
-  try {
-    writeFrame(in_.get(), Frame{FrameType::Shutdown, ""});
-  } catch (...) {
-    // Already dead; reap below.
-  }
-  in_.reset();
-  int status = 0;
-  for (int spin = 0; spin < 200; ++spin) {  // ~2 s grace
-    const pid_t r = ::waitpid(pid_, &status, WNOHANG);
-    if (r == pid_ || (r < 0 && errno != EINTR)) {
-      pid_ = -1;
-      break;
-    }
-    ::usleep(10'000);
-  }
-  reap();
-}
-
-void PipeChannel::kill() { reap(); }
-
 // ---------------------------------------------------------- SocketChannel
 
 SocketChannel::SocketChannel(net::Fd fd, std::string peer,
@@ -232,16 +81,57 @@ SocketChannel::SocketChannel(net::Fd fd, std::string peer,
                              std::string pendingBytes)
     : fd_(std::move(fd)),
       peer_(std::move(peer)),
-      concurrency_(concurrency == 0 ? 1 : concurrency),
+      concurrency_(concurrency),
       buf_(std::move(pendingBytes)) {}
+
+std::unique_ptr<SocketChannel> SocketChannel::spawn(
+    const std::vector<std::string>& argv) {
+  std::vector<std::string> full = argv;
+  full.push_back("attach");
+  full.push_back("-");
+  // Built before fork: the child of a threaded parent must not allocate.
+  std::vector<char*> cargv;
+  for (std::string& a : full) cargv.push_back(a.data());
+  cargv.push_back(nullptr);
+
+  // CLOEXEC on both ends: no child may inherit another child's socket — a
+  // stray copy would defeat EOF-based death detection.
+  int sv[2];
+  if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, sv) != 0)
+    throw std::runtime_error(std::string("grid worker: socketpair: ") +
+                             std::strerror(errno));
+  const pid_t pid = ::fork();
+  if (pid < 0) {
+    ::close(sv[0]);
+    ::close(sv[1]);
+    throw std::runtime_error(std::string("grid worker: fork: ") +
+                             std::strerror(errno));
+  }
+  if (pid == 0) {
+    // The child's end becomes its stdin (sv[1] > sv[0] >= 0, so never
+    // already fd 0); dup2 clears CLOEXEC on the copy.
+    ::dup2(sv[1], STDIN_FILENO);
+    ::execvp(cargv[0], cargv.data());
+    // Exec failed; stderr is still the parent's.
+    ::perror("pred-grid worker exec");
+    ::_exit(127);
+  }
+  ::close(sv[1]);
+  auto ch = std::make_unique<SocketChannel>(
+      net::Fd(sv[0]), "child:pid=" + std::to_string(static_cast<long>(pid)),
+      /*concurrency=*/0);
+  ch->pid_ = pid;
+  return ch;
+}
 
 SocketChannel::~SocketChannel() { kill(); }
 
-std::vector<ChannelEvent> SocketChannel::die(const std::string& why) {
+std::vector<ChannelEvent> SocketChannel::die(const std::string& why,
+                                             ChannelEvent::Kind kind) {
   alive_ = false;
   fd_.reset();
   ChannelEvent ev;
-  ev.kind = ChannelEvent::Kind::Died;
+  ev.kind = kind;
   ev.why = why;
   return {std::move(ev)};
 }
@@ -255,6 +145,15 @@ void SocketChannel::dispatch(std::uint64_t token,
   writeFrame(fd_.get(),
              Frame{FrameType::ShardAssign, encodeShardAssignMsg(msg)});
   noteDispatched(token);
+  if (pid_ > 0) {
+    try {
+      fault::check("worker.exit");
+    } catch (const fault::Injected&) {
+      // Kill the child holding the lease, but leave the socket open: the
+      // EOF takes the real death path (requeue, respawn).
+      ::kill(pid_, SIGKILL);
+    }
+  }
 }
 
 std::vector<ChannelEvent> SocketChannel::drain() {
@@ -272,7 +171,25 @@ std::vector<ChannelEvent> SocketChannel::drain() {
     fault::check("worker.frame");
     while (std::optional<Frame> f = decodeFrame(buf_, off_)) {
       if (f->type == FrameType::Heartbeat) continue;  // liveness only
-      if (f->type == FrameType::ShardDone) {
+      if (concurrency_ == 0) {
+        // Not welcomed yet (a spawned child): only a WorkerHello that
+        // passes the salt check opens the channel for shards.
+        if (f->type != FrameType::WorkerHello)
+          throw std::invalid_argument(
+              "worker did not open with WorkerHello");
+        const WorkerHelloMsg hello = parseWorkerHelloMsg(f->payload);
+        if (const std::string why = saltMismatch(hello.salt); !why.empty()) {
+          try {
+            writeFrame(fd_.get(), Frame{FrameType::Error, why},
+                       /*timeoutMs=*/1000);
+          } catch (...) {
+            // Already gone; the rejection stands either way.
+          }
+          return die(why, ChannelEvent::Kind::Rejected);
+        }
+        writeFrame(fd_.get(), Frame{FrameType::WorkerWelcome, ""});
+        concurrency_ = hello.concurrency;
+      } else if (f->type == FrameType::ShardDone) {
         ShardDoneMsg msg = parseShardDoneMsg(f->payload);
         if (!noteSettled(msg.id))
           throw std::invalid_argument(
@@ -299,6 +216,9 @@ std::vector<ChannelEvent> SocketChannel::drain() {
     }
     compactBuffer(buf_, off_);
   } catch (const std::exception& e) {
+    // A worker speaking garbage is as dead as one that exited: its
+    // stream can't be resynchronized.  Earlier well-formed results in
+    // this drain still count.
     std::vector<ChannelEvent> death =
         die(std::string("worker protocol violation: ") + e.what());
     events.push_back(std::move(death.front()));
@@ -311,20 +231,36 @@ std::vector<ChannelEvent> SocketChannel::hangup() {
 }
 
 void SocketChannel::shutdown() {
-  if (!alive_) return;
-  try {
-    writeFrame(fd_.get(), Frame{FrameType::Shutdown, ""},
-               /*timeoutMs=*/1000);
-  } catch (...) {
-    // Peer already gone.
+  if (alive_) {
+    try {
+      writeFrame(fd_.get(), Frame{FrameType::Shutdown, ""},
+                 /*timeoutMs=*/1000);
+    } catch (...) {
+      // Peer already gone.
+    }
   }
   alive_ = false;
   fd_.reset();
+  for (int spin = 0; pid_ > 0 && spin < 200; ++spin) {  // ~2 s grace
+    const pid_t r = ::waitpid(pid_, nullptr, WNOHANG);
+    if (r == pid_ || (r < 0 && errno != EINTR)) {
+      pid_ = -1;  // exited and reaped: nothing left to SIGKILL
+    } else {
+      ::usleep(10'000);
+    }
+  }
+  kill();
 }
 
 void SocketChannel::kill() {
   alive_ = false;
   fd_.reset();
+  if (pid_ > 0) {
+    ::kill(pid_, SIGKILL);  // no-op if already exited
+    while (::waitpid(pid_, nullptr, 0) < 0 && errno == EINTR) {
+    }
+    pid_ = -1;
+  }
 }
 
 // ----------------------------------------------------------- LocalChannel
@@ -432,31 +368,25 @@ void LocalChannel::kill() { stop(); }
 
 WorkerFleet::WorkerFleet(FleetConfig cfg) : cfg_(std::move(cfg)) {
   if (cfg_.maxSpawnsPerSlot < 1) cfg_.maxSpawnsPerSlot = 1;
-  if (cfg_.pipeSlots > 0 && cfg_.workerCommand.empty())
+  if (cfg_.spawnSlots > 0 && cfg_.workerCommand.empty())
     throw std::invalid_argument(
-        "grid fleet: pipe slots need a worker command");
+        "grid fleet: spawned slots need a worker command");
   if (cfg_.localSlots > 0 && !cfg_.eval)
     throw std::invalid_argument(
         "grid fleet: local slots need an evaluator");
   slots_.resize(static_cast<std::size_t>(
-      (cfg_.pipeSlots > 0 ? cfg_.pipeSlots : 0) +
+      (cfg_.spawnSlots > 0 ? cfg_.spawnSlots : 0) +
       (cfg_.localSlots > 0 ? cfg_.localSlots : 0)));
   std::size_t s = 0;
-  for (int k = 0; k < cfg_.pipeSlots; ++k, ++s)
-    spawnPipeSlot(slots_[s], /*firstSpawnOfSlot0=*/k == 0);
+  for (int k = 0; k < cfg_.spawnSlots; ++k, ++s) spawnSlot(slots_[s]);
   for (int k = 0; k < cfg_.localSlots; ++k, ++s)
     slots_[s].ch = std::make_unique<LocalChannel>(cfg_.eval, k);
 }
 
 WorkerFleet::~WorkerFleet() { killAll(); }
 
-void WorkerFleet::spawnPipeSlot(Slot& slot, bool firstSpawnOfSlot0) {
-  std::vector<std::string> argv = cfg_.workerCommand;
-  argv.push_back("serve");
-  if (firstSpawnOfSlot0 && slot.spawns == 0)
-    for (const std::string& a : cfg_.firstWorkerExtraArgs)
-      argv.push_back(a);
-  slot.ch = std::make_unique<PipeChannel>(argv);
+void WorkerFleet::spawnSlot(Slot& slot) {
+  slot.ch = SocketChannel::spawn(cfg_.workerCommand);
   ++slot.spawns;
   if (cfg_.metrics) cfg_.metrics->counter("grid.worker.spawns").add();
 }
@@ -472,20 +402,10 @@ void WorkerFleet::forEachChannel(Fn&& fn) const {
   for (const auto& ch : attached_) fn(ch.get());
 }
 
-std::size_t WorkerFleet::aliveCount() const {
-  std::size_t n = 0;
-  forEachChannel([&](WorkerChannel* ch) { n += ch->alive() ? 1 : 0; });
-  return n;
-}
-
-std::size_t WorkerFleet::attachedCount() const {
-  std::size_t n = 0;
-  for (const auto& ch : attached_) n += ch->alive() ? 1 : 0;
-  return n;
-}
-
 bool WorkerFleet::exhausted() const {
-  return !slots_.empty() && aliveCount() == 0;
+  bool anyAlive = false;
+  forEachChannel([&](WorkerChannel* ch) { anyAlive |= ch->alive(); });
+  return !slots_.empty() && !anyAlive;
 }
 
 bool WorkerFleet::owns(const WorkerChannel* target) const {
@@ -504,9 +424,9 @@ void WorkerFleet::channelDied(WorkerChannel* ch, const std::string& why,
     if (slot.ch.get() != ch) continue;
     slot.ch->kill();
     if (slot.spawns > 0 && slot.spawns < cfg_.maxSpawnsPerSlot)
-      spawnPipeSlot(slot, /*firstSpawnOfSlot0=*/false);
+      spawnSlot(slot);
     else if (slot.spawns > 0)
-      slot.ch.reset();  // retired pipe slot (spawn budget exhausted)
+      slot.ch.reset();  // retired slot (spawn budget exhausted)
     return;
   }
   for (std::size_t k = 0; k < attached_.size(); ++k) {
@@ -528,6 +448,10 @@ void WorkerFleet::handleEvents(WorkerChannel* ch,
       case ChannelEvent::Kind::Failed:
         queue.failed(ev.token, ev.why);
         break;
+      case ChannelEvent::Kind::Rejected:
+        if (cfg_.metrics)
+          cfg_.metrics->counter("grid.worker.rejected_salt").add();
+        [[fallthrough]];
       case ChannelEvent::Kind::Died:
         channelDied(ch, ev.why, queue);
         return;  // the channel object may be gone now
@@ -568,21 +492,46 @@ void WorkerFleet::dispatch(ShardQueue& queue) {
   }
 }
 
-void WorkerFleet::appendPollFds(std::vector<pollfd>& fds,
-                                std::vector<WorkerChannel*>& chans) {
+void WorkerFleet::step(ShardQueue& queue, std::vector<pollfd>& fds,
+                       std::optional<Clock::time_point> until) {
+  const std::size_t own = fds.size();
+  std::vector<WorkerChannel*> chans;
   forEachChannel([&](WorkerChannel* ch) {
     if (!ch->alive() || ch->pollFd() < 0) return;
     fds.push_back({ch->pollFd(), POLLIN, 0});
     chans.push_back(ch);
   });
-}
 
-void WorkerFleet::onReadable(WorkerChannel* ch, ShardQueue& queue) {
-  handleEvents(ch, ch->drain(), queue);
-}
+  // Sleep until the next event: a ready fd, the earliest backoff gate,
+  // the earliest deadline, or the caller's own wake-up time.  +1 ms so
+  // poll's truncation never wakes just BEFORE the instant it waits for.
+  std::optional<Clock::time_point> wake = until;
+  for (const auto t : {queue.earliestGate(), nextDeadline()})
+    if (t && (!wake || *t < *wake)) wake = t;
+  int timeoutMs = -1;
+  if (wake) {
+    const auto ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                        *wake - Clock::now())
+                        .count();
+    timeoutMs = (ms < 0 ? 0 : ms > 60000 ? 60000 : static_cast<int>(ms)) + 1;
+  }
+  const int rc = ::poll(fds.data(), fds.size(), timeoutMs);
+  if (rc < 0 && errno != EINTR)
+    throw std::runtime_error(std::string("grid fleet: poll: ") +
+                             std::strerror(errno));
 
-void WorkerFleet::onHangup(WorkerChannel* ch, ShardQueue& queue) {
-  handleEvents(ch, ch->hangup(), queue);
+  for (std::size_t k = 0; rc > 0 && k < chans.size(); ++k) {
+    const short revents = fds[own + k].revents;
+    WorkerChannel* ch = chans[k];
+    // A channel may have been destroyed handling an earlier fd.
+    if (revents == 0 || !owns(ch) || !ch->alive()) continue;
+    // POLLHUP with pending data still drains; read() returning 0 is the
+    // one true EOF signal.
+    handleEvents(ch, (revents & POLLIN) ? ch->drain() : ch->hangup(),
+                 queue);
+  }
+  fds.resize(own);
+  checkDeadlines(queue);
 }
 
 void WorkerFleet::checkDeadlines(ShardQueue& queue) {

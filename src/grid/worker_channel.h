@@ -3,42 +3,43 @@
 // workers that evaluate shards.
 //
 // A WorkerChannel is ONE worker the scheduler can dispatch to, whatever
-// its transport.  The contract is small and event-driven so a single
-// poll() loop (scheduler drive loop or GridServer event loop) can
-// multiplex any mix of them:
+// its transport.  The contract is small and event-driven so one poll()
+// loop, WorkerFleet::step, can multiplex any mix of them:
 //
 //   dispatch(token, spec)  hand the worker a shard under a lease token
 //   pollFd()               the fd to poll for results/liveness
 //   drain()                consume readable bytes, yield ChannelEvents
 //   shutdown()/kill()      graceful / immediate stop
 //
-// Three transports implement it:
+// Two transports implement it:
 //
-//   PipeChannel    a persistent child process (pred-shard-worker serve)
-//                  speaking Shard/ShardResult frames over stdin/stdout
-//                  pipes — the original subprocess path, byte-for-byte
-//                  unchanged on the wire.  One shard in flight; death is
-//                  EOF / POLLHUP / write-EPIPE.
-//   SocketChannel  a remote worker that DIALED IN over tcp/unix and
-//                  handshook (WorkerHello/WorkerWelcome, protocol.h);
-//                  shards flow as ShardAssign/ShardDone with lease ids,
-//                  so `concurrency` shards ride in flight and complete
-//                  out of order.  Death is the same EOF/POLLHUP story —
-//                  a kill -9'd remote worker is indistinguishable from a
+//   SocketChannel  a worker speaking the worker conversation of
+//                  protocol.h (WorkerHello/WorkerWelcome, then ShardAssign/
+//                  ShardDone with lease ids, `concurrency` shards in flight,
+//                  completing out of order).  Either the server adopted it
+//                  after a dial-in handshake, or the fleet spawned it: a
+//                  `<workerCommand> attach -` child on a socketpair, whose
+//                  pid the channel owns (SIGKILL + waitpid on death, a ~2 s
+//                  grace on shutdown).  A spawned channel has capacity 0
+//                  until its WorkerHello passes the same code-version salt
+//                  check as a dial-in.  Death is EOF / POLLHUP / write-EPIPE
+//                  / timeout; a kill -9'd worker is indistinguishable from a
 //                  vanished one, and its leases are requeued.
 //   LocalChannel   an in-process evaluator thread (the --in-process
 //                  mode); a self-pipe makes completions poll()-able so
 //                  local evaluation multiplexes like any other channel.
 //                  A throwing evaluator is a failed attempt, never a
-//                  death — local channels are immortal.
+//                  death — local channels are immortal, and they never
+//                  touch the network layer (or its fault points).
 //
 // A WorkerFleet owns a set of channels and the policies around them:
-// fixed slots (pipe children with a bounded respawn budget, local
-// threads) plus dynamically adopted socket workers, shard dispatch from
+// fixed slots (spawned children with a bounded respawn budget, or local
+// threads) plus dynamically adopted dial-in workers, shard dispatch from
 // a ShardQueue, per-shard wall-time deadlines, heartbeat staleness for
-// idle socket workers, and the grid.worker.* counters.
+// idle dial-ins, and the grid.worker.* counters.
 
 #include <poll.h>
+#include <sys/types.h>
 
 #include <chrono>
 #include <condition_variable>
@@ -58,15 +59,22 @@
 namespace pred::grid {
 
 /// One thing a channel has to tell the driver after a drain: a shard
-/// completed, a shard attempt failed (worker stays healthy), or the
-/// channel itself died (the driver requeues every lease it still holds).
+/// completed, a shard attempt failed (worker stays healthy), the channel
+/// itself died (the driver requeues every lease it still holds), or a
+/// spawned child's hello failed the salt check (a death the driver also
+/// counts in grid.worker.rejected_salt).
 struct ChannelEvent {
-  enum class Kind { Done, Failed, Died };
+  enum class Kind { Done, Failed, Died, Rejected };
   Kind kind = Kind::Died;
   std::uint64_t token = 0;           ///< lease token (Done / Failed)
   std::optional<ShardOutput> output; ///< engaged on Done only
-  std::string why;                   ///< Failed / Died
+  std::string why;                   ///< Failed / Died / Rejected
 };
+
+/// The handshake's admission rule, shared by dial-ins and spawned
+/// children: "" when `salt` is this build's kCodeVersionSalt, otherwise
+/// the Error text to send back.
+std::string saltMismatch(const std::string& salt);
 
 class WorkerChannel {
  public:
@@ -74,11 +82,11 @@ class WorkerChannel {
 
   virtual ~WorkerChannel() = default;
 
-  virtual const char* kindName() const = 0;  ///< "pipe" | "socket" | "local"
+  virtual const char* kindName() const = 0;  ///< "socket" | "local"
   virtual const std::string& peer() const = 0;
   virtual int pollFd() const = 0;
   virtual bool alive() const = 0;
-  /// Shards this worker runs concurrently (1 for pipe/local).
+  /// Shards this worker runs concurrently (1 for local).
   virtual std::size_t capacity() const { return 1; }
   /// Local channels turn transport-layer dispatch faults into failed
   /// attempts instead of channel deaths (there is no transport to kill).
@@ -121,69 +129,52 @@ class WorkerChannel {
   Clock::time_point lastHeard_ = Clock::now();
 };
 
-/// The original subprocess transport: fork+exec `argv` with stdin/stdout
-/// piped, Shard frames out, ShardResult/Error frames back.
-class PipeChannel final : public WorkerChannel {
- public:
-  /// Spawns the child (throws std::runtime_error on pipe/fork failure).
-  explicit PipeChannel(const std::vector<std::string>& argv);
-  ~PipeChannel() override;
-
-  const char* kindName() const override { return "pipe"; }
-  const std::string& peer() const override { return peer_; }
-  int pollFd() const override { return out_.get(); }
-  bool alive() const override { return alive_; }
-
-  void dispatch(std::uint64_t token, const exp::ShardSpec& spec) override;
-  std::vector<ChannelEvent> drain() override;
-  std::vector<ChannelEvent> hangup() override;
-  void shutdown() override;
-  void kill() override;
-
- private:
-  std::vector<ChannelEvent> die(const std::string& why);
-  void reap();
-
-  pid_t pid_ = -1;
-  net::Fd in_;   ///< parent write end -> child stdin
-  net::Fd out_;  ///< parent read end <- child stdout
-  std::string buf_;      ///< incremental frame decode buffer
-  std::size_t off_ = 0;  ///< decode offset into buf_
-  bool alive_ = false;
-  std::string peer_;
-};
-
-/// A remote worker that dialed in and handshook; the server adopts its
-/// accepted fd into one of these.  ShardAssign frames out, ShardDone /
-/// Heartbeat frames back, `concurrency` leases in flight.
+/// A worker speaking the worker conversation over a stream socket:
+/// ShardAssign frames out, ShardDone / Heartbeat frames back,
+/// `concurrency` leases in flight.
 class SocketChannel final : public WorkerChannel {
  public:
-  /// `pendingBytes` carries anything read past the WorkerHello frame
-  /// during the handshake (an eager worker may pipeline a heartbeat).
+  /// Wraps a connected worker socket.  A dial-in the server already
+  /// handshook passes its announced concurrency; 0 means the worker has
+  /// not said hello yet, so its first frame must be a WorkerHello that
+  /// passes the salt check.  `pendingBytes` carries anything read past a
+  /// dial-in's WorkerHello frame (an eager worker may pipeline a
+  /// heartbeat).
   SocketChannel(net::Fd fd, std::string peer, std::size_t concurrency,
                 std::string pendingBytes = {});
+  /// Spawns `argv` + {"attach", "-"} with the child's socketpair end on
+  /// its stdin (throws std::runtime_error on socketpair/fork failure).
+  static std::unique_ptr<SocketChannel> spawn(
+      const std::vector<std::string>& argv);
   ~SocketChannel() override;
 
   const char* kindName() const override { return "socket"; }
   const std::string& peer() const override { return peer_; }
   int pollFd() const override { return fd_.get(); }
   bool alive() const override { return alive_; }
+  /// 0 until the worker's hello has passed the salt check.
   std::size_t capacity() const override { return concurrency_; }
 
   void dispatch(std::uint64_t token, const exp::ShardSpec& spec) override;
   std::vector<ChannelEvent> drain() override;
   std::vector<ChannelEvent> hangup() override;
+  /// Shutdown frame; a spawned child then gets ~2 s to exit before the
+  /// SIGKILL.
   void shutdown() override;
+  /// Closes the socket; a spawned child is SIGKILLed and reaped.
   void kill() override;
 
  private:
-  std::vector<ChannelEvent> die(const std::string& why);
+  std::vector<ChannelEvent> die(
+      const std::string& why,
+      ChannelEvent::Kind kind = ChannelEvent::Kind::Died);
 
   net::Fd fd_;
+  pid_t pid_ = -1;  ///< spawned child, -1 for a dial-in or once reaped
   std::string peer_;
-  std::size_t concurrency_ = 1;
-  std::string buf_;
-  std::size_t off_ = 0;
+  std::size_t concurrency_ = 0;
+  std::string buf_;      ///< incremental frame decode buffer
+  std::size_t off_ = 0;  ///< decode offset into buf_
   bool alive_ = true;
 };
 
@@ -233,31 +224,31 @@ class LocalChannel final : public WorkerChannel {
 };
 
 struct FleetConfig {
-  /// Fixed subprocess slots (respawned on death up to maxSpawnsPerSlot).
-  int pipeSlots = 0;
+  /// Fixed spawned-child slots (respawned on death up to
+  /// maxSpawnsPerSlot).
+  int spawnSlots = 0;
   /// Fixed in-process evaluator threads (immortal).
   int localSlots = 0;
   /// Evaluator for local slots; required when localSlots > 0.
   ShardEvalFn eval;
-  /// argv prefix for pipe slots; "serve" is appended.
+  /// argv prefix for spawned slots; "attach -" is appended.
   std::vector<std::string> workerCommand;
-  /// Extra argv appended to slot 0's FIRST spawn only (fault injection).
-  std::vector<std::string> firstWorkerExtraArgs;
   int maxSpawnsPerSlot = 4;
   /// Per-shard wall-time budget; a channel that exceeds it is killed and
   /// its leases requeued.  0 disables.
   std::uint64_t shardTimeoutMs = 0;
-  /// Staleness bound for IDLE attached socket workers: one that has not
-  /// been heard from (heartbeats count) within this window is treated as
+  /// Staleness bound for IDLE dial-in workers: one that has not been
+  /// heard from (heartbeats count) within this window is treated as
   /// half-open and dropped.  0 disables.
   std::uint64_t idleWorkerTimeoutMs = 0;
-  /// When set, grid.worker.spawns / .deaths land here.
+  /// When set, grid.worker.spawns / .deaths / .rejected_salt land here.
   obs::MetricsRegistry* metrics = nullptr;
 };
 
 /// The channel set one driver loop multiplexes, with the policies around
 /// it: dispatch from a ShardQueue, death -> requeue leases + respawn
-/// (pipe) or remove (socket), deadlines, and provenance for stats.
+/// (spawned slot) or remove (dial-in), deadlines, and provenance for
+/// stats.
 class WorkerFleet {
  public:
   using Clock = WorkerChannel::Clock;
@@ -268,31 +259,25 @@ class WorkerFleet {
   WorkerFleet(const WorkerFleet&) = delete;
   WorkerFleet& operator=(const WorkerFleet&) = delete;
 
-  /// Adopts a handshook socket worker into the fleet.
+  /// Adopts a handshook dial-in worker into the fleet.
   void adopt(std::unique_ptr<WorkerChannel> ch);
 
-  std::size_t aliveCount() const;
-  std::size_t attachedCount() const;
   /// True when the fleet was configured with fixed slots and every one
   /// of them is retired/dead with no attached worker left — no dispatch
   /// can ever succeed again unless a new worker attaches.
   bool exhausted() const;
   std::uint64_t deaths() const { return deaths_; }
-  /// Whether `ch` is still a live member (poll dispatch guards with this
-  /// because an earlier fd's death handling may have destroyed it).
-  bool owns(const WorkerChannel* ch) const;
 
   /// Fills every channel's spare capacity from the queue.
   void dispatch(ShardQueue& queue);
-  /// Appends one pollfd per live channel; `chans` maps them back.
-  void appendPollFds(std::vector<pollfd>& fds,
-                     std::vector<WorkerChannel*>& chans);
-  void onReadable(WorkerChannel* ch, ShardQueue& queue);
-  void onHangup(WorkerChannel* ch, ShardQueue& queue);
-  /// Enforces shard deadlines and idle-worker staleness.
-  void checkDeadlines(ShardQueue& queue);
-  /// Earliest pending deadline (poll-timeout input).
-  std::optional<Clock::time_point> nextDeadline() const;
+  /// One turn of the event loop.  Appends one pollfd per live channel
+  /// after the caller's own `fds`, sleeps until an fd is ready, the
+  /// queue's earliest backoff gate, the fleet's earliest deadline, or
+  /// `until` — whichever comes first — then drains or hangs up the ready
+  /// channels and enforces deadlines.  On return `fds` holds only the
+  /// caller's entries again, with their revents filled in.
+  void step(ShardQueue& queue, std::vector<pollfd>& fds,
+            std::optional<Clock::time_point> until = std::nullopt);
 
   void shutdownAll();
   void killAll();
@@ -311,11 +296,18 @@ class WorkerFleet {
     int spawns = 0;
   };
 
-  void spawnPipeSlot(Slot& slot, bool firstSpawnOfSlot0);
+  void spawnSlot(Slot& slot);
+  /// Whether `ch` is still a live member (an earlier fd's death handling
+  /// may have destroyed it).
+  bool owns(const WorkerChannel* ch) const;
   void handleEvents(WorkerChannel* ch, std::vector<ChannelEvent> events,
                     ShardQueue& queue);
   void channelDied(WorkerChannel* ch, const std::string& why,
                    ShardQueue& queue);
+  /// Enforces shard deadlines and idle-worker staleness.
+  void checkDeadlines(ShardQueue& queue);
+  /// Earliest pending deadline (poll-timeout input).
+  std::optional<Clock::time_point> nextDeadline() const;
   template <typename Fn>
   void forEachChannel(Fn&& fn) const;
 

@@ -166,8 +166,7 @@ TEST(GridFrame, RoundTripsEveryTypeAndDecodesSequentially) {
       grid::FrameType::Submit,       grid::FrameType::Result,
       grid::FrameType::Error,        grid::FrameType::StatsRequest,
       grid::FrameType::StatsReply,   grid::FrameType::Shutdown,
-      grid::FrameType::ShutdownAck,  grid::FrameType::Shard,
-      grid::FrameType::ShardResult,  grid::FrameType::WorkerHello,
+      grid::FrameType::ShutdownAck,  grid::FrameType::WorkerHello,
       grid::FrameType::WorkerWelcome, grid::FrameType::ShardAssign,
       grid::FrameType::ShardDone,    grid::FrameType::Heartbeat,
   };
@@ -229,11 +228,16 @@ TEST(GridFrame, MalformedHeadersThrowBeforeAnyPayloadArrives) {
   badVersion[2] = static_cast<char>(grid::kProtocolVersion + 1);
   EXPECT_THROW(decodes(badVersion), std::invalid_argument);
 
-  // Unknown frame types on both sides of the valid range.
+  // Unknown frame types on both sides of the valid range, and the two
+  // retired type bytes inside it.
   std::string badType = good;
   badType[3] = 0;
   EXPECT_THROW(decodes(badType), std::invalid_argument);
   badType[3] = 42;
+  EXPECT_THROW(decodes(badType), std::invalid_argument);
+  badType[3] = 8;
+  EXPECT_THROW(decodes(badType), std::invalid_argument);
+  badType[3] = 9;
   EXPECT_THROW(decodes(badType), std::invalid_argument);
 
   // An adversarial length (kMaxFramePayload + 1, and the full 4 GiB)
@@ -299,7 +303,7 @@ TEST(GridFrame, FdReaderHandlesCleanEofAndThrowsOnTruncation) {
 
   // A whole frame, then clean EOF: one successful read, then false.
   const std::string whole =
-      grid::encodeFrame(frameOf(grid::FrameType::Shard, "spec"));
+      grid::encodeFrame(frameOf(grid::FrameType::ShardAssign, "spec"));
   {
     const auto fd = pipeWith(whole);
     grid::Frame f;
@@ -361,22 +365,6 @@ TEST(GridPayloads, JobResultMsgRoundTripsAndRejectsGarbage) {
 
   for (const char* bad : {"", "garbage", "cache-hit maybe\n"}) {
     EXPECT_THROW(grid::parseJobResultMsg(bad), std::invalid_argument) << bad;
-  }
-}
-
-TEST(GridPayloads, ShardResultMsgRoundTripsAndRejectsGarbage) {
-  grid::ShardResultMsg msg;
-  msg.accumulatorText = "acc bytes\nwith newlines\n";
-  msg.reportText = "report bytes\n";
-
-  const auto back =
-      grid::parseShardResultMsg(grid::encodeShardResultMsg(msg));
-  EXPECT_EQ(back.accumulatorText, msg.accumulatorText);
-  EXPECT_EQ(back.reportText, msg.reportText);
-
-  for (const char* bad : {"", "nonsense", "acc 3\nxyz"}) {
-    EXPECT_THROW(grid::parseShardResultMsg(bad), std::invalid_argument)
-        << bad;
   }
 }
 
@@ -900,6 +888,12 @@ TEST(GridServer, RejectsJobsForUnknownNamesWithoutDying) {
 
   const auto g = makeTestGrid();
   EXPECT_EQ(client.submit(g.whole, 2).accumulatorText, g.singleBytes);
+
+  // The bogus job ran out of attempts: it counts as failed, never as a
+  // served job.
+  const auto stats = client.stats();
+  EXPECT_EQ(stats.counters.at("grid.jobs.failed"), 1u);
+  EXPECT_EQ(stats.counters.at("grid.jobs"), 1u);
 }
 
 // -------------------------------------------------- study-layer entry

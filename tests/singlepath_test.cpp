@@ -152,6 +152,10 @@ struct WorkloadCase {
   std::vector<std::string> observables;
 };
 
+// gtest would otherwise list each case with a byte dump of the struct,
+// which holds heap addresses and so changes from run to run.
+void PrintTo(const WorkloadCase& c, std::ostream* os) { *os << c.name; }
+
 class SinglePathDifferential : public ::testing::TestWithParam<WorkloadCase> {};
 
 TEST_P(SinglePathDifferential, EquivalentAndInputInvariant) {

@@ -4,20 +4,22 @@
 // flags, bind, print the resolved endpoint (scripts wait for that line),
 // serve until a client sends Shutdown.  Two fleet shapes:
 //
-//   subprocess (default)   N persistent `pred-shard-worker serve`
-//                          children over pipes; worker death is detected
-//                          and survived (scheduler retry + respawn)
+//   subprocess (default)   N persistent `pred-shard-worker attach -`
+//                          children, each on a socketpair, speaking the
+//                          same salt-checked worker conversation as a
+//                          remote worker; worker death is detected and
+//                          survived (scheduler retry + respawn)
 //   --in-process           in-process evaluator threads — no fork, handy
 //                          for quick local use and debugging
 //
 // Either shape also accepts REMOTE workers dialing in with
-// `pred-shard-worker attach` (on the main endpoint, or on a dedicated
-// --worker-listen endpoint); --workers 0 runs attach-only, where every
-// shard waits for dialed-in workers.
+// `pred-shard-worker attach ENDPOINT` (on the main endpoint, or on a
+// dedicated --worker-listen endpoint); --workers 0 runs attach-only,
+// where every shard waits for dialed-in workers.
 //
-// --fault-first-worker-exit-after N arms the deterministic fault
-// injection the CI grid-smoke uses: worker slot 0's first incarnation
-// dies on receiving shard N+1; the job must still complete byte-identically.
+// --fault-plan arms named fault points (grid/faultpoint.h); the CI
+// grid-smoke uses `worker.exit:error`, which SIGKILLs the first child to
+// receive a shard — the job must still complete byte-identically.
 
 #include <cstdio>
 #include <sstream>
@@ -62,11 +64,10 @@ int usage() {
       "                   [--max-attempts N]       per-shard retry budget\n"
       "                   [--retry-backoff-ms N]   base retry backoff\n"
       "                   [--shard-timeout-ms N]   per-shard kill timeout\n"
-      "                   [--fault-first-worker-exit-after N]\n"
-      "                                            arm fault injection\n"
       "                   [--fault-plan PLAN]      arm named fault points,\n"
       "                                            e.g. \"net.write:after=3:\n"
       "                                            epipe;cache.journal:torn\"\n"
+      "                                            or \"worker.exit:error\"\n"
       "\n"
       "Prints 'listening on <endpoint>' once ready; stops on a client\n"
       "Shutdown frame (pred-grid-client shutdown).\n");
@@ -102,8 +103,6 @@ int main(int argc, char** argv) {
   bool inProcess = false;
   grid::ServerConfig config;
   config.scheduler.workers = 2;
-  std::size_t faultExitAfter = 0;
-  bool haveFault = false;
   std::string faultPlan;
 
   const std::vector<std::string> args(argv + 1, argv + argc);
@@ -142,9 +141,6 @@ int main(int argc, char** argv) {
       } else if (a == "--shard-timeout-ms") {
         config.scheduler.shardTimeoutMs =
             flagNumber<std::uint64_t>(a, value(k));
-      } else if (a == "--fault-first-worker-exit-after") {
-        faultExitAfter = flagNumber<std::size_t>(a, value(k));
-        haveFault = true;
       } else {
         throw std::invalid_argument("unknown flag: " + a);
       }
@@ -153,18 +149,11 @@ int main(int argc, char** argv) {
       throw std::invalid_argument("--listen is required");
 
     config.endpoint = listen;
-    if (inProcess || config.scheduler.workers == 0) {
-      if (haveFault)
-        throw std::invalid_argument(
-            "--fault-first-worker-exit-after needs subprocess workers");
-      if (inProcess) config.eval = study::gridShardEvaluator();
-    } else {
+    if (inProcess)
+      config.eval = study::gridShardEvaluator();
+    else if (config.scheduler.workers > 0)
       config.scheduler.workerCommand = {
           workerCmd.empty() ? defaultWorkerCmd(argv[0]) : workerCmd};
-      if (haveFault)
-        config.scheduler.firstWorkerExtraArgs = {
-            "--exit-after", std::to_string(faultExitAfter)};
-    }
 
     // Arm the fault plan before the server exists so construction-time
     // paths (cache.load on journal recovery) are already covered.

@@ -1,7 +1,7 @@
 // shard_worker.cpp — pred-shard-worker: the process-level grid shard
 // executor (exp/shard.h made invocable).
 //
-// One binary, seven subcommands, composing into the distribution pipeline
+// One binary, six subcommands, composing into the distribution pipeline
 // that scripts/shard_run.sh drives end to end:
 //
 //   plan    instantiate a (platform, workload) grid, partition it into K
@@ -14,16 +14,15 @@
 //   report  fold per-shard RunReports into the fleet telemetry view
 //   single  the reference: the same grid through one in-process
 //           reduceCells, emitted in the same format
-//   serve   persistent worker mode for the grid scheduler: speak the
-//           framed protocol (grid/protocol.h) over stdin/stdout — Shard
-//           frames in, ShardResult (or Error) frames out — until EOF or
-//           a Shutdown frame; --exit-after N injects a deterministic
-//           mid-run death for fault-tolerance smokes
-//   attach  remote worker mode: DIAL a running pred-grid-server
-//           ("attach tcp:HOST:PORT"), handshake with this build's
-//           code-version salt, and serve ShardAssign frames until the
-//           server hangs up — the same evaluation, so attached results
-//           are byte-identical to serve/single
+//   attach  persistent worker mode: speak the worker conversation of
+//           grid/protocol.h — handshake with this build's code-version
+//           salt, then serve ShardAssign frames until the server hangs up
+//           or sends Shutdown.  "attach tcp:HOST:PORT" (or unix:PATH)
+//           DIALS a running pred-grid-server; "attach -" serves the
+//           socket on stdin, which is how pred-grid-server runs its fixed
+//           worker slots.  The same evaluation as run/single, so worker
+//           results are byte-identical to both; --exit-after N injects a
+//           deterministic mid-shard death for fault-tolerance smokes
 //
 // Determinism contract: merge(run(shard_1), ..., run(shard_K)) is
 // byte-for-byte identical to single, for any K and any shard shape —
@@ -46,7 +45,6 @@
 #include "exp/platform.h"
 #include "exp/shard.h"
 #include "grid/attach_worker.h"
-#include "grid/protocol.h"
 #include "obs/run_report.h"
 #include "study/workloads.h"
 
@@ -84,19 +82,15 @@ int usage() {
       "                           [--threads T] [--interpreted]\n"
       "      the single-process reference for the same grid\n"
       "\n"
-      "  pred-shard-worker serve [--exit-after N]\n"
-      "      persistent worker for pred-grid-server: framed Shard requests\n"
-      "      on stdin, ShardResult replies on stdout, until EOF/Shutdown;\n"
-      "      --exit-after N dies on receiving shard N+1 (fault injection)\n"
-      "\n"
-      "  pred-shard-worker attach ENDPOINT [--concurrency N]\n"
+      "  pred-shard-worker attach ENDPOINT|- [--concurrency N]\n"
       "                           [--heartbeat-ms N] [--exit-after N]\n"
       "                           [--salt S]\n"
-      "      dial a running pred-grid-server (tcp:HOST:PORT or unix:PATH)\n"
-      "      and serve shards remotely; --concurrency N evaluates N shards\n"
-      "      at once, --exit-after N dies on assignment N+1 (fault\n"
-      "      injection), --salt overrides the handshake salt (rejection\n"
-      "      tests)\n");
+      "      serve shards for pred-grid-server: dial its ENDPOINT\n"
+      "      (tcp:HOST:PORT or unix:PATH), or with '-' use the socket on\n"
+      "      stdin (how the server runs its own worker slots);\n"
+      "      --concurrency N evaluates N shards at once, --exit-after N\n"
+      "      dies on assignment N+1 (fault injection), --salt overrides\n"
+      "      the handshake salt (rejection tests)\n");
   return 2;
 }
 
@@ -314,57 +308,10 @@ int cmdSingle(const std::vector<std::string>& args) {
   return 0;
 }
 
-int cmdServe(const std::vector<std::string>& args) {
-  bool haveExitAfter = false;
-  std::size_t exitAfter = 0;
-  for (std::size_t k = 0; k < args.size(); ++k) {
-    if (args[k] == "--exit-after") {
-      exitAfter = flagNumber<std::size_t>(args[k], flagValue(args, k));
-      haveExitAfter = true;
-    } else {
-      throw std::invalid_argument("unknown flag: " + args[k]);
-    }
-  }
-  std::size_t served = 0;
-  grid::Frame frame;
-  for (;;) {
-    if (!grid::readFrame(STDIN_FILENO, frame)) return 0;  // scheduler EOF
-    if (frame.type == grid::FrameType::Shutdown) return 0;
-    if (frame.type != grid::FrameType::Shard) {
-      grid::writeFrame(STDOUT_FILENO,
-                       grid::Frame{grid::FrameType::Error,
-                                   "serve expects Shard frames"});
-      continue;
-    }
-    // Fault injection: die on RECEIPT of shard exitAfter+1 — after the
-    // scheduler committed the dispatch, before any reply — the orphaned-
-    // shard shape the retry path must survive.
-    if (haveExitAfter && served >= exitAfter) ::_exit(3);
-    try {
-      const auto spec = exp::parseShardSpec(frame.payload);
-      const auto w = study::WorkloadRegistry::instance().make(spec.workload);
-      obs::RunReport report;
-      const auto acc = exp::evaluateShard(
-          spec, w.program, w.inputs, exp::PlatformRegistry::instance(),
-          &report);
-      grid::ShardResultMsg msg{acc.serialize(), report.serialize()};
-      grid::writeFrame(
-          STDOUT_FILENO,
-          grid::Frame{grid::FrameType::ShardResult,
-                      grid::encodeShardResultMsg(msg)});
-      ++served;
-    } catch (const std::exception& e) {
-      // Evaluation/parse failure: this worker is still healthy — report
-      // the attempt failed and keep serving.
-      grid::writeFrame(STDOUT_FILENO,
-                       grid::Frame{grid::FrameType::Error, e.what()});
-    }
-  }
-}
-
 int cmdAttach(const std::vector<std::string>& args) {
-  if (args.empty() || args[0].empty() || args[0][0] == '-') {
-    throw std::invalid_argument("attach needs an ENDPOINT first");
+  if (args.empty() || args[0].empty() ||
+      (args[0][0] == '-' && args[0] != "-")) {
+    throw std::invalid_argument("attach needs an ENDPOINT or '-' first");
   }
   const std::string& endpoint = args[0];
   grid::AttachOptions options;
@@ -385,19 +332,18 @@ int cmdAttach(const std::vector<std::string>& args) {
       throw std::invalid_argument("unknown flag: " + args[k]);
     }
   }
-  // The same evaluation serve-mode runs — byte-identity across modes
-  // hinges on attached workers computing shards EXACTLY the same way.
-  return grid::runAttachWorker(
-      endpoint, [](const exp::ShardSpec& spec) {
-        const auto w =
-            study::WorkloadRegistry::instance().make(spec.workload);
-        obs::RunReport report;
-        auto acc = exp::evaluateShard(spec, w.program, w.inputs,
-                                      exp::PlatformRegistry::instance(),
-                                      &report);
-        return grid::ShardOutput{std::move(acc), std::move(report)};
-      },
-      options);
+  // The same evaluation `run` performs — byte-identity across modes
+  // hinges on workers computing shards EXACTLY the same way.
+  const grid::ShardEvalFn eval = [](const exp::ShardSpec& spec) {
+    const auto w = study::WorkloadRegistry::instance().make(spec.workload);
+    obs::RunReport report;
+    auto acc = exp::evaluateShard(spec, w.program, w.inputs,
+                                  exp::PlatformRegistry::instance(), &report);
+    return grid::ShardOutput{std::move(acc), std::move(report)};
+  };
+  if (endpoint == "-")
+    return grid::runAttachWorker(grid::net::Fd(STDIN_FILENO), eval, options);
+  return grid::runAttachWorker(endpoint, eval, options);
 }
 
 }  // namespace
@@ -412,7 +358,6 @@ int main(int argc, char** argv) {
     if (cmd == "merge") return cmdMerge(args);
     if (cmd == "report") return cmdReport(args);
     if (cmd == "single") return cmdSingle(args);
-    if (cmd == "serve") return cmdServe(args);
     if (cmd == "attach") return cmdAttach(args);
     return usage();
   } catch (const std::exception& e) {
