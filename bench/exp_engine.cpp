@@ -10,9 +10,10 @@
 // making the per-cell loop allocation-free.  The header section verifies
 // the acceptance properties (parallel == serial, packed == interpreted,
 // bit-identical) and times a 64 x 64 exhaustive grid through all three
-// paths, emitting the machine-readable BENCH_exhaustive.json artifact
-// ($BENCH_JSON overrides the output path) that scripts/bench_run.sh and the
-// CI perf-smoke job consume.
+// paths — plus the grid scheduler, attached workers, trace-class collapse
+// and a cold trace-store resolve — emitting the machine-readable
+// BENCH_exhaustive.json artifact ($BENCH_JSON overrides the output path)
+// that scripts/bench_run.sh and the CI perf-smoke job consume.
 
 #include <chrono>
 #include <cstdlib>
@@ -288,6 +289,50 @@ std::string collapseGrid(bool* identical, int reps) {
   return obj.str();
 }
 
+/// Cold resolve: what a trace-store miss costs end to end — functional run,
+/// trace fingerprint, store key, class assignment and Streams lowering —
+/// for the 64 inputs of the registry's linearsearch-16x64 workload, on a
+/// fresh TraceStore per repetition, best of `reps`.  This is the whole cost
+/// of a cold Query::run or grid shard before replay starts; the program is
+/// hashed once per repetition, as the engine does once per walk item.
+std::string resolveGrid(int reps) {
+  const std::string workload = "linearsearch-16x64";
+  bench::printHeader("Cold resolve",
+                     "fresh TraceStore, 64 inputs, Streams form");
+  const auto w = study::WorkloadRegistry::instance().make(workload);
+  double best = 0;
+  std::uint64_t misses = 0;
+  std::size_t classes = 0;
+  for (int r = 0; r < reps; ++r) {
+    exp::TraceStore store;
+    const double ns = bestOfNs(1, [&] {
+      const exp::TraceStore::ProgramKey program(w.program);
+      for (const auto& in : w.inputs) {
+        benchmark::DoNotOptimize(store.entryRefFor(program, in).compiled);
+      }
+    });
+    if (r == 0 || ns < best) best = ns;
+    misses = store.misses();
+    classes = store.classCount();
+  }
+  const double usPerInput =
+      best / 1000.0 / static_cast<double>(w.inputs.size());
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%.2f", usPerInput);
+  bench::printKV("us per input (best of " + std::to_string(reps) + ")", buf);
+  bench::printKV("misses / trace classes per repetition",
+                 std::to_string(misses) + " / " + std::to_string(classes));
+
+  bench::JsonObject obj;
+  obj.field("workload", workload)
+      .field("inputs", static_cast<int>(w.inputs.size()))
+      .field("form", std::string("streams"))
+      .field("misses", misses)
+      .field("trace_classes", static_cast<std::uint64_t>(classes))
+      .field("us_per_input", usPerInput);
+  return obj.str();
+}
+
 /// Sharded-throughput grid: the work-stealing scheduler (src/grid/) runs
 /// an 8-shard 64 x 64 grid at K ∈ {1, 2, 4, 8} stealing workers through
 /// the registry-resolving evaluator — the same fan-out an in-process
@@ -466,6 +511,7 @@ void perfGrid(const char* argv0) {
   const std::string attached = attachedThroughputGrid(&attachedIdentical);
   bool collapseIdentical = false;
   const std::string collapse = collapseGrid(&collapseIdentical, reps);
+  const std::string resolve = resolveGrid(reps);
 
   // Default the artifact NEXT TO THE BINARY (the build directory), not the
   // cwd: smoke runs launched from the repo root used to litter it with
@@ -496,7 +542,8 @@ void perfGrid(const char* argv0) {
       .rawField("grids", grids.str())
       .rawField("sharded", sharded)
       .rawField("attached", attached)
-      .rawField("collapse", collapse);
+      .rawField("collapse", collapse)
+      .rawField("resolve", resolve);
   if (bench::writeTextFile(path, root.str())) {
     bench::printKV("json artifact", path);
   }

@@ -39,7 +39,9 @@ void runRow() {
 
   exp::ExperimentEngine engine;
   auto traceOf = [&engine, &prog](const isa::Input& in) -> const isa::Trace& {
-    return *engine.traceStore().entryRefFor(prog, in, false).trace;
+    return *engine.traceStore()
+                .entryRefFor(prog, in, exp::ReplayForm::None)
+                .trace;
   };
 
   // Static schemes under test.

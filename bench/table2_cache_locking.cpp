@@ -42,7 +42,9 @@ void runRow() {
   const cache::CacheTiming timing{1, 8};
   exp::ExperimentEngine engine;
   const auto& trace =
-      *engine.traceStore().entryRefFor(w.program, w.inputs[0], false).trace;
+      *engine.traceStore()
+           .entryRefFor(w.program, w.inputs[0], exp::ReplayForm::None)
+           .trace;
 
   // The two selection algorithms of the original paper.
   const auto profSel =

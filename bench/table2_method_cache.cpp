@@ -30,7 +30,9 @@ void runRow() {
   const auto w = study::WorkloadRegistry::instance().make(inst.spec.workload);
   exp::ExperimentEngine engine;
   const auto& trace =
-      *engine.traceStore().entryRefFor(w.program, w.inputs[0], false).trace;
+      *engine.traceStore()
+           .entryRefFor(w.program, w.inputs[0], exp::ReplayForm::None)
+           .trace;
 
   const auto cmp = cache::compareMethodCacheAgainstICache(
       w.program, trace, /*capacityInstrs=*/96,

@@ -32,7 +32,11 @@
 #               trace classes as inputs (collapse enabled but inert),
 #               beats the uncollapsed path by less than
 #               collapse.min_speedup, or exceeds PERF_SMOKE_FACTOR x
-#               collapse.collapsed_ns_per_cell.
+#               collapse.collapsed_ns_per_cell, or
+#             * the cold-resolve section (a fresh TraceStore resolving the
+#               64 linearsearch-16x64 inputs in the Streams form, best of
+#               5) is missing or its us/input exceeds PERF_SMOKE_FACTOR x
+#               resolve.us_per_input.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -169,6 +173,20 @@ else:
     print(f"collapse: collapsed ns/cell: {ns:.1f} (limit {limit:.1f})")
     if ns > limit:
         print("FAIL: collapsed ns/cell regressed past the baseline limit")
+        failed = True
+
+resolve = measured.get("resolve")
+if resolve is None:
+    print("FAIL: cold-resolve section missing from the bench JSON")
+    failed = True
+else:
+    us = resolve["us_per_input"]
+    base = baseline["resolve"]["us_per_input"]
+    limit = base * factor
+    print(f"resolve: {us:.2f} us/input over {resolve['inputs']} inputs "
+          f"(limit {limit:.2f} = {base} baseline x {factor})")
+    if us > limit:
+        print("FAIL: cold resolve regressed past the baseline limit")
         failed = True
 
 sys.exit(1 if failed else 0)

@@ -51,10 +51,6 @@ int ExperimentEngine::resolvedThreads() const {
   return hw == 0 ? 1 : static_cast<int>(hw);
 }
 
-bool ExperimentEngine::packedPath(const TimingModel& model) const {
-  return config_.usePackedReplay && model.supportsPackedReplay();
-}
-
 std::vector<core::StreamingMeasures> ExperimentEngine::walk(
     const std::vector<Item>& items, bool batched, core::TimingMatrix* matrix) {
   const std::size_t n = items.size();
@@ -63,7 +59,8 @@ std::vector<core::StreamingMeasures> ExperimentEngine::walk(
   /// Per-item evaluation context, resolved up front so pass 2 is a pure
   /// walk.
   struct Prepared {
-    bool packed = false;
+    /// The replay form the item's cells read; None on the interpreted path.
+    ReplayForm form = ReplayForm::None;
     /// Store entries of the item's inputs, indexed from iBegin.
     std::vector<TraceStore::EntryRef> refs;
     /// Walked columns: ascending GLOBAL input indices per column, columns
@@ -82,15 +79,22 @@ std::vector<core::StreamingMeasures> ExperimentEngine::walk(
   };
   std::vector<std::size_t> inputOffset(n + 1, 0);
   for (std::size_t k = 0; k < n; ++k) {
-    prep[k].packed = packedPath(*items[k].grid.model);
+    const TimingModel& model = *items[k].grid.model;
+    if (config_.usePackedReplay && model.supportsPackedReplay()) {
+      prep[k].form = model.packedForm();
+    }
     prep[k].refs.resize(items[k].iEnd - items[k].iBegin);
     inputOffset[k + 1] = inputOffset[k] + prep[k].refs.size();
   }
 
   // Pass 1: resolve (and memoize) every item's input range — lowering
-  // traces only for the packed path.
+  // traces only into the form the item's model replays.  Each item's
+  // program is hashed once here, not once per lookup.
   {
     obs::Span span(pResolve_);
+    std::vector<TraceStore::ProgramKey> programs;
+    programs.reserve(n);
+    for (const Item& item : items) programs.emplace_back(*item.grid.program);
     WorkerPool::shared().run(
         inputOffset.back(), resolvedThreads(),
         [&](std::size_t j, int) {
@@ -98,8 +102,8 @@ std::vector<core::StreamingMeasures> ExperimentEngine::walk(
           const Item& item = items[k];
           const std::size_t di = j - inputOffset[k];
           prep[k].refs[di] = store_.entryRefFor(
-              *item.grid.program, (*item.grid.inputs)[item.iBegin + di],
-              prep[k].packed);
+              programs[k], (*item.grid.inputs)[item.iBegin + di],
+              prep[k].form);
         },
         &util_);
   }
@@ -153,7 +157,8 @@ std::vector<core::StreamingMeasures> ExperimentEngine::walk(
   {
     obs::PhaseAccum* replay =
         batched ? pReplayBatched_
-                : (prep.front().packed ? pReplayPacked_ : pReplayInterp_);
+                : (prep.front().form != ReplayForm::None ? pReplayPacked_
+                                                          : pReplayInterp_);
     obs::Span span(tiles > 0 ? replay : nullptr);
     WorkerPool::shared().run(
         tiles, workers,
@@ -176,7 +181,7 @@ std::vector<core::StreamingMeasures> ExperimentEngine::walk(
             for (std::size_t c = c0; c < c1; ++c) {
               const auto& members = p.cols[c];
               const auto& ref = p.refs[members.front() - item.iBegin];
-              const core::Cycles t = p.packed
+              const core::Cycles t = p.form != ReplayForm::None
                                          ? model.timePacked(q, *ref.compiled)
                                          : model.time(q, *ref.trace);
               if (matrix != nullptr) {

@@ -40,8 +40,9 @@
 // walk by construction.
 //
 // The engine owns a TraceStore (trace_store.h) so the functional trace of
-// each input — and its compiled replay form — is computed once and replayed
-// across all hardware states and across every matrix the engine computes.
+// each input — and the replay form its models read — is computed once and
+// replayed across all hardware states and across every matrix the engine
+// computes.
 
 #include <cstddef>
 #include <cstdint>
@@ -187,8 +188,9 @@ class ExperimentEngine {
 
   /// The one tiled walk every entry point delegates to, so the
   /// shard-vs-single and batch-vs-single bit-identity contracts rest on a
-  /// single body.  Pass 1 resolves every item's input range on the pool
-  /// (lowering traces only for models on the packed path); pass 2 walks the
+  /// single body.  Pass 1 hashes each item's program once and resolves
+  /// the item's input range on the pool, lowering traces only into the
+  /// replay form of models on the packed path; pass 2 walks the
   /// union of all items' tiles.  A column of the walk is a trace class when
   /// collapseTraceClasses is on and a single input otherwise; witnesses use
   /// GLOBAL input indices either way, so shard merges stay byte-exact.
@@ -199,8 +201,6 @@ class ExperimentEngine {
   std::vector<core::StreamingMeasures> walk(
       const std::vector<Item>& items, bool batched,
       core::TimingMatrix* matrix = nullptr);
-
-  bool packedPath(const TimingModel& model) const;
 
   EngineConfig config_;
   TraceStore store_;

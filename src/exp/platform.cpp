@@ -222,6 +222,7 @@ class OooModel : public TimingModel {
   }
 
   bool supportsPackedReplay() const override { return packedOk_; }
+  ReplayForm packedForm() const override { return ReplayForm::Ops; }
 
   Cycles timePacked(std::size_t q, const ReplayProgram& rp) const override {
     thread_local cache::PackedCacheSim sim;
@@ -277,6 +278,7 @@ class OooFixedLatModel : public TimingModel {
   /// over the flat op stream with a constant memory latency — covering the
   /// drainBefore_ preschedule mode too, which is kernel-internal.
   bool supportsPackedReplay() const override { return !states_.empty(); }
+  ReplayForm packedForm() const override { return ReplayForm::Ops; }
 
   Cycles timePacked(std::size_t q, const ReplayProgram& rp) const override {
     return pipeline::runOooKernel</*SkipStallCycles=*/true>(

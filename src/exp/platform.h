@@ -62,16 +62,22 @@ class TimingModel {
   /// hardware state q.  Deterministic and safe to call concurrently.
   virtual Cycles time(std::size_t q, const isa::Trace& trace) const = 0;
 
-  /// Packed fast path: when true, timePacked(q, compileTrace(trace)) is a
-  /// valid, bit-identical replacement for time(q, trace) whose cache-state
-  /// setup is a flat copy into reusable buffers instead of a per-cell deep
-  /// copy (states with a predictor still clone that one small object per
-  /// cell).  The ExperimentEngine compiles each trace once and routes
-  /// cells through it (EngineConfig::usePackedReplay).
+  /// Packed fast path: when true, timePacked(q, compileTrace(trace,
+  /// packedForm())) is a valid, bit-identical replacement for time(q,
+  /// trace) whose cache-state setup is a flat copy into reusable buffers
+  /// instead of a per-cell deep copy (states with a predictor still clone
+  /// that one small object per cell).  The ExperimentEngine compiles each
+  /// trace once and routes cells through it (EngineConfig::usePackedReplay).
   virtual bool supportsPackedReplay() const { return false; }
 
-  /// T(q, rp) over the compiled replay form.  Only meaningful when
-  /// supportsPackedReplay(); the default throws std::logic_error.
+  /// The one replay form timePacked reads (exp/replay.h): the additive
+  /// Streams by default; the out-of-order models read Ops.  The engine
+  /// lowers only this form, so rp passed to timePacked may hold nothing
+  /// else.
+  virtual ReplayForm packedForm() const { return ReplayForm::Streams; }
+
+  /// T(q, rp) over the compiled replay form packedForm().  Only meaningful
+  /// when supportsPackedReplay(); the default throws std::logic_error.
   virtual Cycles timePacked(std::size_t q, const ReplayProgram& rp) const;
 };
 

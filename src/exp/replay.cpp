@@ -5,32 +5,38 @@
 
 namespace pred::exp {
 
-ReplayProgram compileTrace(const isa::Trace& trace) {
-  ReplayProgram rp;
-  rp.fetchPc.reserve(trace.size());
-  rp.ops.reserve(trace.size());
-  for (const auto& rec : trace) {
-    rp.fetchPc.push_back(rec.pc);
+namespace {
 
-    ReplayOp op;
-    op.memAddr = rec.memWordAddr;
-    op.pc = rec.pc;
-    op.extraLatency = rec.extraLatency;
-    op.cls = static_cast<std::uint8_t>(isa::latencyClass(rec.instr.op));
-    if (rec.branchTaken) op.flags |= kReplayOpTaken;
-    if (pipeline::detail::writesRd(rec.instr)) {
-      op.flags |= kReplayOpWritesRd;
-      op.rd = rec.instr.rd;
+/// One pass over the trace, filling the requested forms.
+ReplayProgram lower(const isa::Trace& trace, bool streams, bool ops) {
+  ReplayProgram rp;
+  if (streams) rp.fetchPc.reserve(trace.size());
+  if (ops) rp.ops.reserve(trace.size());
+  for (const auto& rec : trace) {
+    const isa::LatencyClass cls = isa::latencyClass(rec.instr.op);
+    if (ops) {
+      ReplayOp op;
+      op.memAddr = rec.memWordAddr;
+      op.pc = rec.pc;
+      op.extraLatency = rec.extraLatency;
+      op.cls = static_cast<std::uint8_t>(cls);
+      if (rec.branchTaken) op.flags |= kReplayOpTaken;
+      if (pipeline::detail::writesRd(rec.instr)) {
+        op.flags |= kReplayOpWritesRd;
+        op.rd = rec.instr.rd;
+      }
+      int reads[3];
+      int numReads = 0;
+      pipeline::detail::readRegisters(rec.instr, reads, numReads);
+      op.numReads = static_cast<std::uint8_t>(numReads);
+      for (int j = 0; j < numReads; ++j) {
+        op.reads[j] = static_cast<std::uint8_t>(reads[j]);
+      }
+      rp.ops.push_back(op);
     }
-    int reads[3];
-    int numReads = 0;
-    pipeline::detail::readRegisters(rec.instr, reads, numReads);
-    op.numReads = static_cast<std::uint8_t>(numReads);
-    for (int j = 0; j < numReads; ++j) {
-      op.reads[j] = static_cast<std::uint8_t>(reads[j]);
-    }
-    rp.ops.push_back(op);
-    switch (isa::latencyClass(rec.instr.op)) {
+    if (!streams) continue;
+    rp.fetchPc.push_back(rec.pc);
+    switch (cls) {
       case isa::LatencyClass::Single:
         ++rp.numSingle;
         break;
@@ -61,6 +67,16 @@ ReplayProgram compileTrace(const isa::Trace& trace) {
     }
   }
   return rp;
+}
+
+}  // namespace
+
+ReplayProgram compileTrace(const isa::Trace& trace, ReplayForm form) {
+  return lower(trace, form == ReplayForm::Streams, form == ReplayForm::Ops);
+}
+
+ReplayProgram compileTrace(const isa::Trace& trace) {
+  return lower(trace, true, true);
 }
 
 core::Cycles replayBaseCycles(const ReplayProgram& rp,

@@ -1,34 +1,47 @@
 #pragma once
-// replay.h — Compiled traces: the flat replay form of a functional trace.
+// replay.h — Compiled traces: the flat replay forms of a functional trace.
 //
 // Every matrix cell T(q, i) replays the same dynamic trace i against a
 // different hardware state q.  The legacy evaluators walk the
 // vector<ExecRecord> per cell, re-decoding Instr operands and re-deriving
 // latency classes |Q| times per input.  A ReplayProgram lowers the trace
-// ONCE into the few contiguous arrays the replay kernels actually consume —
-// instruction-fetch addresses, data-access addresses, the conditional-
-// branch outcome stream — plus the per-class counts that fold every
-// hardware-independent latency contribution into one closed-form sum
-// (replayBaseCycles).  Per-cell work then reduces to: base sum + packed
-// data-cache replay over dataAddr (+ packed I-cache replay over fetchPc and
-// a predictor walk over the branch stream when the platform has those
-// components).  The same currying move the flat ground-term encodings of
-// the rewriting literature use: compile the structure once, run a dumb fast
-// loop over it.
+// ONCE into the flat arrays a replay kernel actually consumes — the same
+// currying move the flat ground-term encodings of the rewriting literature
+// use: compile the structure once, run a dumb fast loop over it.
 //
-// The out-of-order pipelines are not additive — their cost is a function of
-// dispatch pairing and register dependencies — so for them the lowering
-// keeps a cycle-accurate stream instead: `ops`, one pre-decoded ReplayOp
-// per dynamic instruction (latency class, register reads/writes, branch
-// outcome, memory address), which pipeline::runOooKernel replays against
-// packed cache snapshots with zero per-cell decoding.
+// There are two lowered forms, and a model reads exactly one of them
+// (TimingModel::packedForm, exp/platform.h):
+//
+//   Streams  the additive in-order form: instruction-fetch addresses,
+//            data-access addresses, the conditional-branch outcome stream,
+//            plus the per-class counts that fold every hardware-independent
+//            latency contribution into one closed-form sum
+//            (replayBaseCycles).  Per-cell work is that base sum + a packed
+//            data-cache replay over dataAddr (+ a packed I-cache replay
+//            over fetchPc and a predictor walk over the branch stream when
+//            the platform has those components).
+//   Ops      the cycle-accurate out-of-order form.  The OOO pipelines are
+//            not additive — their cost is a function of dispatch pairing
+//            and register dependencies — so they replay `ops`, one
+//            pre-decoded ReplayOp per dynamic instruction (latency class,
+//            register reads/writes, branch outcome, memory address),
+//            through pipeline::runOooKernel against packed cache snapshots
+//            with zero per-cell decoding.
+//
+// A ReplayProgram lowered for one form leaves the other form's fields
+// empty; compileTrace(trace) without a form lowers both.  The TraceStore
+// (exp/trace_store.h) lowers each form of an entry the first time a lookup
+// asks for it, in the engine's resolve pass — never per cell — so an
+// in-order sweep never pays for `ops` and an OOO sweep never pays for the
+// streams.
 //
 // Lowering is exact, not approximate: for every InOrderConfig, predictor,
 // and cache snapshot, the compiled replay is bit-identical to
-// InOrderPipeline::run over the original trace (asserted cell-for-cell in
-// tests/replay_test.cpp).  TraceStore caches the compiled form next to the
-// memoized trace, so each input is lowered once per process.
+// InOrderPipeline::run over the original trace, and likewise for the OOO
+// kernel against OooPipeline::run (asserted cell-for-cell in
+// tests/replay_test.cpp and tests/differential_test.cpp).
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -85,8 +98,17 @@ struct ReplayOps {
   int rd(std::size_t k) const { return ops[k].rd; }
 };
 
+/// The lowered forms of a trace (see the file comment).  Streams and Ops
+/// each fill their own fields; the other form's fields stay empty.
+enum class ReplayForm : std::uint8_t {
+  None,     ///< no lowering: the caller replays the isa::Trace itself
+  Streams,  ///< fetchPc, dataAddr, condBranch*, and the class counts
+  Ops,      ///< ops
+};
+
 /// POD replay form of one dynamic trace (flat arrays + class counts).
 struct ReplayProgram {
+  // ---- The Streams form.
   /// pc of every dynamic instruction, in order (the I-cache fetch stream).
   std::vector<std::int32_t> fetchPc;
   /// Effective word address of every LD/ST, in order (the D-cache stream).
@@ -95,20 +117,6 @@ struct ReplayProgram {
   /// stream).
   std::vector<std::int32_t> condBranchPc;
   std::vector<std::uint8_t> condBranchTaken;
-
-  /// The cycle-accurate stream: one pre-decoded op per dynamic instruction,
-  /// parallel to fetchPc.  Consumed by the OOO packed replay, whose
-  /// dispatch loop needs register dependencies and per-op facts the
-  /// additive in-order streams above fold away.  Lowered eagerly even for
-  /// traces only in-order models end up replaying: 24 B/instruction is
-  /// well under the memoized isa::Trace the store already keeps alongside,
-  /// and the alternative — lazy lowering inside TraceStore — would put a
-  /// synchronization point back into the per-cell hot path that the
-  /// compile-once contract exists to avoid.
-  std::vector<ReplayOp> ops;
-
-  /// The ops view in the pipeline::runOooKernel Ops contract.
-  ReplayOps oooOps() const { return ReplayOps{ops.data(), ops.size()}; }
 
   // Per-latency-class dynamic counts: everything the in-order pipeline adds
   // independently of hardware state.
@@ -121,10 +129,22 @@ struct ReplayProgram {
   std::uint64_t numTakenCond = 0;     ///< taken CONDITIONAL branches only
   std::uint64_t numNone = 0;          ///< NOP/HALT/DEADLINE slots
 
-  std::size_t length() const { return fetchPc.size(); }
+  // ---- The Ops form: one pre-decoded op per dynamic instruction, in
+  // order — the register dependencies and per-op facts the OOO dispatch
+  // loop needs and the additive streams above fold away.
+  std::vector<ReplayOp> ops;
+
+  /// The ops view in the pipeline::runOooKernel Ops contract.
+  ReplayOps oooOps() const { return ReplayOps{ops.data(), ops.size()}; }
+
+  /// Dynamic instructions in the trace, whichever form was lowered.
+  std::size_t length() const { return std::max(fetchPc.size(), ops.size()); }
 };
 
-/// Lowers one trace; O(|trace|), done once per (program, input).
+/// Lowers one trace into `form` (None yields an empty program); O(|trace|),
+/// done once per (program, input, form).
+ReplayProgram compileTrace(const isa::Trace& trace, ReplayForm form);
+/// Lowers one trace into both forms.
 ReplayProgram compileTrace(const isa::Trace& trace);
 
 /// The hardware-state-independent cycle total of an in-order replay: class

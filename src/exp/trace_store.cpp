@@ -1,5 +1,6 @@
 #include "exp/trace_store.h"
 
+#include <cstring>
 #include <functional>
 #include <stdexcept>
 #include <utility>
@@ -11,6 +12,7 @@ namespace {
 constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
 constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
 
+/// Byte-wise FNV-1a step over one 64-bit value (programFingerprint).
 void fnvMix(std::uint64_t& h, std::uint64_t v) {
   for (int byte = 0; byte < 8; ++byte) {
     h ^= (v >> (8 * byte)) & 0xffULL;
@@ -18,15 +20,41 @@ void fnvMix(std::uint64_t& h, std::uint64_t v) {
   }
 }
 
-/// Canonical key of one (program, input) pair.
-std::string keyOf(const isa::Program& program, const isa::Input& input) {
-  std::string key = std::to_string(programFingerprint(program));
-  key += '|';
+/// Word-wise FNV-1a step (traceFingerprint): xor, then multiply by an odd
+/// prime — a bijection in h for every w.
+void fnvMixWord(std::uint64_t& h, std::uint64_t w) {
+  h ^= w;
+  h *= kFnvPrime;
+}
+
+/// Zero-extends a 32-bit field into its own half of a packed word.
+std::uint64_t u32(std::int32_t v) {
+  return static_cast<std::uint64_t>(static_cast<std::uint32_t>(v));
+}
+
+void appendWord(std::string& key, std::uint64_t w) {
+  char bytes[sizeof w];
+  std::memcpy(bytes, &w, sizeof w);
+  key.append(bytes, sizeof w);
+}
+
+/// The store key of one (program, input) pair, as raw 64-bit words:
+/// program fingerprint, register count, (register, value)..., memory count,
+/// (address, value).... The counts keep the encoding injective, so two
+/// inputs share a key exactly when their bindings are equal.
+std::string keyOf(std::uint64_t programFp, const isa::Input& input) {
+  std::string key;
+  key.reserve(8 * (3 + 2 * (input.regs.size() + input.mem.size())));
+  appendWord(key, programFp);
+  appendWord(key, input.regs.size());
   for (const auto& [reg, value] : input.regs) {
-    key += 'r' + std::to_string(reg) + '=' + std::to_string(value) + ';';
+    appendWord(key, static_cast<std::uint64_t>(reg));
+    appendWord(key, static_cast<std::uint64_t>(value));
   }
+  appendWord(key, input.mem.size());
   for (const auto& [addr, value] : input.mem) {
-    key += 'm' + std::to_string(addr) + '=' + std::to_string(value) + ';';
+    appendWord(key, static_cast<std::uint64_t>(addr));
+    appendWord(key, static_cast<std::uint64_t>(value));
   }
   return key;
 }
@@ -64,20 +92,17 @@ std::uint64_t programFingerprint(const isa::Program& program) {
 
 std::uint64_t traceFingerprint(const isa::Trace& trace) {
   std::uint64_t h = kFnvOffset;
-  fnvMix(h, static_cast<std::uint64_t>(trace.size()));
+  fnvMixWord(h, static_cast<std::uint64_t>(trace.size()));
   for (const auto& rec : trace) {
-    fnvMix(h, static_cast<std::uint64_t>(
-                  static_cast<std::int64_t>(rec.pc)));
-    fnvMix(h, static_cast<std::uint64_t>(rec.instr.op));
-    fnvMix(h, packedFields(rec.instr));
-    fnvMix(h, static_cast<std::uint64_t>(
-                  static_cast<std::int64_t>(rec.instr.imm)));
-    fnvMix(h, rec.branchTaken ? 1u : 0u);
-    fnvMix(h, static_cast<std::uint64_t>(
-                  static_cast<std::int64_t>(rec.nextPc)));
-    fnvMix(h, static_cast<std::uint64_t>(rec.memWordAddr));
-    fnvMix(h, static_cast<std::uint64_t>(
-                  static_cast<std::int64_t>(rec.extraLatency)));
+    const isa::Instr& ins = rec.instr;
+    fnvMixWord(h, u32(rec.pc) | u32(rec.nextPc) << 32);
+    fnvMixWord(h, static_cast<std::uint64_t>(ins.op) |
+                      static_cast<std::uint64_t>(ins.rd) << 8 |
+                      static_cast<std::uint64_t>(ins.rs1) << 16 |
+                      static_cast<std::uint64_t>(ins.rs2) << 24 |
+                      static_cast<std::uint64_t>(rec.branchTaken) << 32);
+    fnvMixWord(h, u32(ins.imm) | u32(rec.extraLatency) << 32);
+    fnvMixWord(h, static_cast<std::uint64_t>(rec.memWordAddr));
   }
   return h;
 }
@@ -109,12 +134,21 @@ std::uint32_t TraceStore::classFor(const isa::Trace& trace) {
   return id;
 }
 
-TraceStore::EntryRef TraceStore::entryRefFor(const isa::Program& program,
+TraceStore::EntryRef TraceStore::entryRefFor(const ProgramKey& program,
                                              const isa::Input& input,
-                                             bool compile) {
-  const std::string key = keyOf(program, input);
+                                             ReplayForm form) {
+  const std::string key = keyOf(program.fingerprint, input);
   Bucket& bucket =
       buckets_[std::hash<std::string>{}(key) & (kNumBuckets - 1)];
+  // What a lookup returns, read under the bucket lock.
+  const auto refOf = [form](const Entry& e) {
+    const ReplayProgram* streams = e.streams.get();
+    const ReplayProgram* ops = e.ops.get();
+    const ReplayProgram* compiled = form == ReplayForm::Streams ? streams
+                                    : form == ReplayForm::Ops   ? ops
+                                                                : nullptr;
+    return EntryRef{&e.trace, compiled, e.classId, streams, ops};
+  };
   Entry* entry = nullptr;
   EntryRef ref{};
   {
@@ -122,19 +156,24 @@ TraceStore::EntryRef TraceStore::entryRefFor(const isa::Program& program,
     if (const auto it = bucket.entries.find(key); it != bucket.entries.end()) {
       hits_.add();
       entry = it->second.get();
-      ref = EntryRef{&entry->trace, entry->compiled.get(), entry->classId};
+      ref = refOf(*entry);
     }
   }
   if (entry == nullptr) {
     // The miss path.  Run outside the lock: functional execution dominates,
     // and concurrent misses on the same key are harmless (the first insert
     // wins and the traces are equal anyway).
-    auto run = isa::FunctionalCore::run(program, input);
+    auto run = isa::FunctionalCore::run(program.program, input);
     if (!run.completed) {
       throw std::runtime_error("program did not halt for input " + input.name);
     }
     auto fresh = std::make_unique<Entry>();
     fresh->trace = std::move(run.trace);
+    // The functional core reserves 1024 records up front; a stored trace
+    // keeps only the records it has.  That halves what the store holds on
+    // short traces, and keeps the heap of a grid worker (a fresh store per
+    // shard) from being trimmed and faulted back in between shards.
+    fresh->trace.shrink_to_fit();
     std::lock_guard<std::mutex> lock(bucket.mu);
     const auto [it, inserted] =
         bucket.entries.try_emplace(key, std::move(fresh));
@@ -148,17 +187,20 @@ TraceStore::EntryRef TraceStore::entryRefFor(const isa::Program& program,
       // bucket.mu -> classMu_, everywhere.
       entry->classId = classFor(entry->trace);
     }
-    ref = EntryRef{&entry->trace, entry->compiled.get(), entry->classId};
+    ref = refOf(*entry);
   }
-  if (compile && ref.compiled == nullptr) {
-    // The lowering step, on the first lookup that asks for the compiled
-    // form: lower the published trace outside the lock.  A concurrent
-    // lowering of the same entry is harmless (the first publish wins and
-    // the forms are equal).
-    auto lowered = std::make_unique<ReplayProgram>(compileTrace(entry->trace));
+  if (form != ReplayForm::None && ref.compiled == nullptr) {
+    // The lowering step, on the first lookup that asks for this form:
+    // lower the published trace outside the lock into the form's own slot.
+    // A concurrent lowering of the same form is harmless (the first
+    // publish wins and the forms are equal), and a published slot is never
+    // touched again.
+    auto lowered =
+        std::make_unique<ReplayProgram>(compileTrace(entry->trace, form));
     std::lock_guard<std::mutex> lock(bucket.mu);
-    if (!entry->compiled) entry->compiled = std::move(lowered);
-    ref.compiled = entry->compiled.get();
+    auto& slot = form == ReplayForm::Ops ? entry->ops : entry->streams;
+    if (!slot) slot = std::move(lowered);
+    ref = refOf(*entry);
   }
   return ref;
 }

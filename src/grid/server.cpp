@@ -81,6 +81,7 @@ FleetConfig makeFleetConfig(const ServerConfig& config,
   fc.maxSpawnsPerSlot = config.scheduler.maxSpawnsPerSlot;
   fc.shardTimeoutMs = config.scheduler.shardTimeoutMs;
   fc.idleWorkerTimeoutMs = config.idleWorkerTimeoutMs;
+  fc.helloTimeoutMs = config.connTimeoutMs;
   fc.metrics = &metrics;
   return fc;
 }

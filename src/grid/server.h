@@ -82,7 +82,10 @@ struct ServerConfig {
   /// Idle-connection deadline in ms; a peer that connects and then goes
   /// silent (stalled client, half-open socket, a dial-in that never says
   /// hello) is dropped and counted, not carried forever.  The clock only
-  /// runs while the connection has no job in flight.  0 = no deadline.
+  /// runs while the connection has no job in flight.  A spawned worker
+  /// child gets the same deadline for its hello, from its spawn; one that
+  /// misses it is killed, counted in grid.worker.deaths and respawned
+  /// within scheduler.maxSpawnsPerSlot.  0 = no deadline.
   std::uint64_t connTimeoutMs = 30'000;
   /// Staleness bound for IDLE attached workers (heartbeats reset it); one
   /// that exceeds it is treated as half-open and detached.  0 = disabled.

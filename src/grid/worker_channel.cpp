@@ -387,8 +387,14 @@ WorkerFleet::~WorkerFleet() { killAll(); }
 
 void WorkerFleet::spawnSlot(Slot& slot) {
   slot.ch = SocketChannel::spawn(cfg_.workerCommand);
+  slot.spawnedAt = Clock::now();
   ++slot.spawns;
   if (cfg_.metrics) cfg_.metrics->counter("grid.worker.spawns").add();
+}
+
+bool WorkerFleet::awaitingHello(const Slot& slot) {
+  return slot.spawns > 0 && slot.ch && slot.ch->alive() &&
+         slot.ch->capacity() == 0;
 }
 
 void WorkerFleet::adopt(std::unique_ptr<WorkerChannel> ch) {
@@ -548,6 +554,16 @@ void WorkerFleet::checkDeadlines(ShardQueue& queue) {
     for (WorkerChannel* ch : late)
       if (owns(ch)) channelDied(ch, "shard timeout exceeded", queue);
   }
+  if (cfg_.helloTimeoutMs > 0) {
+    const auto budget = std::chrono::milliseconds(cfg_.helloTimeoutMs);
+    std::vector<WorkerChannel*> silent;
+    for (const Slot& slot : slots_)
+      if (awaitingHello(slot) && slot.spawnedAt + budget <= now)
+        silent.push_back(slot.ch.get());
+    for (WorkerChannel* ch : silent)
+      if (owns(ch))
+        channelDied(ch, "spawned worker never said hello", queue);
+  }
   if (cfg_.idleWorkerTimeoutMs > 0) {
     const auto budget =
         std::chrono::milliseconds(cfg_.idleWorkerTimeoutMs);
@@ -575,6 +591,11 @@ std::optional<WorkerFleet::Clock::time_point> WorkerFleet::nextDeadline()
       if (const auto oldest = ch->oldestDispatchTime())
         consider(*oldest + budget);
     });
+  }
+  if (cfg_.helloTimeoutMs > 0) {
+    const auto budget = std::chrono::milliseconds(cfg_.helloTimeoutMs);
+    for (const Slot& slot : slots_)
+      if (awaitingHello(slot)) consider(slot.spawnedAt + budget);
   }
   if (cfg_.idleWorkerTimeoutMs > 0) {
     const auto budget =

@@ -35,8 +35,9 @@
 // A WorkerFleet owns a set of channels and the policies around them:
 // fixed slots (spawned children with a bounded respawn budget, or local
 // threads) plus dynamically adopted dial-in workers, shard dispatch from
-// a ShardQueue, per-shard wall-time deadlines, heartbeat staleness for
-// idle dial-ins, and the grid.worker.* counters.
+// a ShardQueue, per-shard wall-time deadlines, a hello deadline for
+// spawned children, heartbeat staleness for idle dial-ins, and the
+// grid.worker.* counters.
 
 #include <poll.h>
 #include <sys/types.h>
@@ -241,6 +242,12 @@ struct FleetConfig {
   /// heard from (heartbeats count) within this window is treated as
   /// half-open and dropped.  0 disables.
   std::uint64_t idleWorkerTimeoutMs = 0;
+  /// Hello deadline for spawned children: one whose WorkerHello has not
+  /// passed the salt check this long after its spawn is killed and counted
+  /// as a death (then respawned within maxSpawnsPerSlot).  The server
+  /// passes its connTimeoutMs, the deadline a silent dial-in gets.  0
+  /// disables.
+  std::uint64_t helloTimeoutMs = 0;
   /// When set, grid.worker.spawns / .deaths / .rejected_salt land here.
   obs::MetricsRegistry* metrics = nullptr;
 };
@@ -294,9 +301,12 @@ class WorkerFleet {
   struct Slot {
     std::unique_ptr<WorkerChannel> ch;
     int spawns = 0;
+    Clock::time_point spawnedAt;  ///< of the current child
   };
 
   void spawnSlot(Slot& slot);
+  /// A live spawned child that has not passed its hello yet.
+  static bool awaitingHello(const Slot& slot);
   /// Whether `ch` is still a live member (an earlier fd's death handling
   /// may have destroyed it).
   bool owns(const WorkerChannel* ch) const;
@@ -304,7 +314,8 @@ class WorkerFleet {
                     ShardQueue& queue);
   void channelDied(WorkerChannel* ch, const std::string& why,
                    ShardQueue& queue);
-  /// Enforces shard deadlines and idle-worker staleness.
+  /// Enforces shard deadlines, spawned children's hello deadline and
+  /// idle-worker staleness.
   void checkDeadlines(ShardQueue& queue);
   /// Earliest pending deadline (poll-timeout input).
   std::optional<Clock::time_point> nextDeadline() const;

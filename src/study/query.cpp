@@ -268,9 +268,11 @@ Finding Query::evalOne(exp::ExperimentEngine& engine,
     // without materializing the full matrix.
     std::vector<const isa::Trace*> traces;
     traces.reserve(w.inputs.size());
+    const exp::TraceStore::ProgramKey program(w.program);
     for (const auto& in : w.inputs) {
-      traces.push_back(
-          engine.traceStore().entryRefFor(w.program, in, false).trace);
+      traces.push_back(engine.traceStore()
+                           .entryRefFor(program, in, exp::ReplayForm::None)
+                           .trace);
     }
     const auto fn = [&](std::size_t q, std::size_t i) {
       return model->time(q, *traces[i]);

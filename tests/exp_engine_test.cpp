@@ -4,7 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <map>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/exhaustive.h"
@@ -15,6 +20,7 @@
 #include "exp/worker_pool.h"
 #include "isa/ast.h"
 #include "isa/workloads.h"
+#include "witness_expect.h"
 
 namespace pred::exp {
 namespace {
@@ -102,7 +108,8 @@ TEST(TraceStore, MemoizedTracesEqualFreshTraces) {
   const auto inputs = testInputs(prog, 5);
   TraceStore store;
   for (const auto& in : inputs) {
-    const auto& memoized = *store.entryRefFor(prog, in, false).trace;
+    const auto& memoized =
+        *store.entryRefFor(prog, in, ReplayForm::None).trace;
     const auto fresh = isa::FunctionalCore::run(prog, in).trace;
     ASSERT_EQ(memoized.size(), fresh.size());
     for (std::size_t k = 0; k < fresh.size(); ++k) {
@@ -115,6 +122,18 @@ TEST(TraceStore, MemoizedTracesEqualFreshTraces) {
   }
 }
 
+TEST(TraceStore, StoredTracesKeepOnlyTheirRecords) {
+  // The functional core reserves records up front; a stored trace must not
+  // carry that reservation for the store's lifetime.
+  const auto prog = testProgram();
+  const auto inputs = testInputs(prog, 5);
+  TraceStore store;
+  for (const auto& in : inputs) {
+    const isa::Trace& stored = *store.entryRefFor(prog, in).trace;
+    EXPECT_EQ(stored.capacity(), stored.size());
+  }
+}
+
 TEST(TraceStore, ComputesEachInputOnceAndReturnsStablePointers) {
   const auto prog = testProgram();
   const auto inputs = testInputs(prog, 6);
@@ -122,7 +141,7 @@ TEST(TraceStore, ComputesEachInputOnceAndReturnsStablePointers) {
   const auto traces = [&] {
     std::vector<const isa::Trace*> out;
     for (const auto& in : inputs) {
-      out.push_back(store.entryRefFor(prog, in, false).trace);
+      out.push_back(store.entryRefFor(prog, in, ReplayForm::None).trace);
     }
     return out;
   };
@@ -144,8 +163,8 @@ TEST(TraceStore, KeysByContentNotByObjectAddress) {
   EXPECT_NE(programFingerprint(progA), programFingerprint(different));
 
   TraceStore store;
-  store.entryRefFor(progA, isa::Input{}, false);
-  store.entryRefFor(progB, isa::Input{}, false);
+  store.entryRefFor(progA, isa::Input{}, ReplayForm::None);
+  store.entryRefFor(progB, isa::Input{}, ReplayForm::None);
   EXPECT_EQ(store.size(), 1u);
   EXPECT_EQ(store.hits(), 1u);
 }
@@ -192,8 +211,8 @@ TEST(TraceStore, CodeIdenticalProgramsWithDifferentBasesStayDistinct) {
   }
 
   TraceStore store;
-  store.entryRefFor(progA, isa::Input{}, false);
-  store.entryRefFor(progB, isa::Input{}, false);
+  store.entryRefFor(progA, isa::Input{}, ReplayForm::None);
+  store.entryRefFor(progB, isa::Input{}, ReplayForm::None);
   EXPECT_EQ(store.size(), 2u);
   EXPECT_EQ(store.misses(), 2u);
   EXPECT_EQ(store.hits(), 0u);
@@ -209,8 +228,10 @@ TEST(TraceStore, CodeIdenticalProgramsWithDifferentMemWordsDifferInTrace) {
   const auto progB = rawLoadProgram(small);
 
   TraceStore store;
-  const auto& traceA = *store.entryRefFor(progA, isa::Input{}, false).trace;
-  const auto& traceB = *store.entryRefFor(progB, isa::Input{}, false).trace;
+  const auto& traceA =
+      *store.entryRefFor(progA, isa::Input{}, ReplayForm::None).trace;
+  const auto& traceB =
+      *store.entryRefFor(progB, isa::Input{}, ReplayForm::None).trace;
   EXPECT_EQ(store.size(), 2u);
   ASSERT_EQ(traceA.size(), traceB.size());
   EXPECT_EQ(traceA[1].memWordAddr, 100);
@@ -227,13 +248,15 @@ TEST(TraceStore, TraceEquivalentInputsShareAClassId) {
   // Three trace-equal flavors of input 0: the input itself, a renamed exact
   // copy (same store key), and a copy with one never-read scratch word
   // (distinct store key, identical trace).
-  const auto ref0 = store.entryRefFor(prog, inputs[0], false);
+  const auto ref0 = store.entryRefFor(prog, inputs[0], ReplayForm::None);
   isa::Input renamed = inputs[0];
   renamed.name = "renamed";
-  const auto refRenamed = store.entryRefFor(prog, renamed, false);
+  const auto refRenamed =
+      store.entryRefFor(prog, renamed, ReplayForm::None);
   isa::Input scratch = inputs[0];
   scratch.mem[prog.layout.memWords - 1] = 42;
-  const auto refScratch = store.entryRefFor(prog, scratch, false);
+  const auto refScratch =
+      store.entryRefFor(prog, scratch, ReplayForm::None);
 
   EXPECT_EQ(ref0.classId, refRenamed.classId);
   EXPECT_EQ(ref0.trace, refRenamed.trace);  // same entry entirely
@@ -249,7 +272,8 @@ TEST(TraceStore, TraceEquivalentInputsShareAClassId) {
   found.name = "found-at-0";
   const auto ref1 = store.entryRefFor(prog, found);
   EXPECT_NE(ref1.classId, ref0.classId);
-  EXPECT_EQ(store.entryRefFor(prog, found, false).classId, ref1.classId);
+  EXPECT_EQ(store.entryRefFor(prog, found, ReplayForm::None).classId,
+            ref1.classId);
 
   EXPECT_EQ(store.size(), 3u);        // input0, scratch, found
   EXPECT_EQ(store.classCount(), 2u);  // {input0, scratch}, {found}
@@ -257,14 +281,14 @@ TEST(TraceStore, TraceEquivalentInputsShareAClassId) {
   // clear() resets the class numbering along with the entries.
   store.clear();
   EXPECT_EQ(store.classCount(), 0u);
-  EXPECT_EQ(store.entryRefFor(prog, found, false).classId, 0u);
+  EXPECT_EQ(store.entryRefFor(prog, found, ReplayForm::None).classId, 0u);
 }
 
 TEST(TraceStore, ThrowsOnNonHaltingProgram) {
   isa::Program infinite;
   infinite.code = {isa::Instr{isa::Op::JMP, 0, 0, 0, 0}};
   TraceStore store;
-  EXPECT_THROW(store.entryRefFor(infinite, isa::Input{}, false),
+  EXPECT_THROW(store.entryRefFor(infinite, isa::Input{}, ReplayForm::None),
                std::runtime_error);
 }
 
@@ -297,40 +321,70 @@ void expectSameReplay(const ReplayProgram& a, const ReplayProgram& b) {
 
 TEST(TraceStore, TraceOnlyEntryIsLoweredOnFirstCompiledLookup) {
   // The order a ScenarioSuite takes when an interpreted preset comes before
-  // a packed one on a shared store: the entry exists without a compiled
-  // form, and the packed lookup lowers it in place.
+  // a packed one on a shared store: the entry exists without a lowered
+  // form, and each packed lookup lowers its own form in place — an
+  // in-order model's Streams first, then an OOO model's Ops.
   const auto prog = testProgram();
   const auto inputs = testInputs(prog, 1);
   TraceStore store;
-  const auto plain = store.entryRefFor(prog, inputs[0], false);
+  const auto plain = store.entryRefFor(prog, inputs[0], ReplayForm::None);
   const auto lowered = store.entryRefFor(prog, inputs[0]);
   EXPECT_EQ(plain.trace, lowered.trace);
   EXPECT_EQ(plain.classId, lowered.classId);
   EXPECT_EQ(plain.compiled, nullptr);
+  EXPECT_EQ(plain.streams, nullptr);
+  EXPECT_EQ(plain.ops, nullptr);
   ASSERT_NE(lowered.compiled, nullptr);
-  expectSameReplay(*lowered.compiled, compileTrace(*lowered.trace));
+  EXPECT_EQ(lowered.compiled, lowered.streams);
+  EXPECT_EQ(lowered.ops, nullptr);  // asking for Streams lowers nothing else
+  EXPECT_TRUE(lowered.compiled->ops.empty());
+  expectSameReplay(*lowered.compiled,
+                   compileTrace(*lowered.trace, ReplayForm::Streams));
+  EXPECT_EQ(lowered.compiled->length(), lowered.trace->size());
   EXPECT_EQ(store.misses(), 1u);
   EXPECT_EQ(store.hits(), 1u);
+
+  const auto ops = store.entryRefFor(prog, inputs[0], ReplayForm::Ops);
+  EXPECT_EQ(ops.trace, lowered.trace);
+  EXPECT_EQ(ops.classId, lowered.classId);
+  ASSERT_NE(ops.compiled, nullptr);
+  EXPECT_EQ(ops.compiled, ops.ops);
+  EXPECT_EQ(ops.streams, lowered.compiled);  // the published form stays put
+  EXPECT_TRUE(ops.compiled->fetchPc.empty());
+  EXPECT_TRUE(ops.compiled->dataAddr.empty());
+  expectSameReplay(*ops.compiled,
+                   compileTrace(*ops.trace, ReplayForm::Ops));
+  EXPECT_EQ(ops.compiled->length(), ops.trace->size());
+  // The two slots together are exactly the both-forms lowering.
+  ReplayProgram both = *lowered.compiled;
+  both.ops = ops.compiled->ops;
+  expectSameReplay(both, compileTrace(*ops.trace));
+  EXPECT_EQ(store.misses(), 1u);
+  EXPECT_EQ(store.hits(), 2u);
 }
 
 TEST(TraceStore, ConcurrentMixedFillCountsExactly) {
-  // Each input is looked up three times in a row with alternating compile
-  // flags, so concurrent workers race trace-only and compiled lookups on
-  // the same entry.
+  // Each input is looked up three times in a row, once per form, so
+  // concurrent workers race trace-only, Streams and Ops lookups on the
+  // same entry.
   const auto prog = testProgram();
   const auto inputs = testInputs(prog, 24);
+  constexpr ReplayForm kForms[] = {ReplayForm::None, ReplayForm::Streams,
+                                   ReplayForm::Ops};
   TraceStore store;
   WorkerPool::shared().run(inputs.size() * 3, 8, [&](std::size_t k, int) {
-    store.entryRefFor(prog, inputs[k / 3], k % 2 == 0);
+    store.entryRefFor(prog, inputs[k / 3], kForms[k % 3]);
   });
   EXPECT_EQ(store.size(), 24u);
   EXPECT_EQ(store.misses(), 24u);
   EXPECT_EQ(store.hits() + store.misses(), 72u);
   for (const auto& in : inputs) {
-    const auto ref = store.entryRefFor(prog, in);
-    ASSERT_NE(ref.compiled, nullptr);
-    EXPECT_EQ(store.entryRefFor(prog, in).compiled, ref.compiled);
-    EXPECT_EQ(store.entryRefFor(prog, in, false).compiled, ref.compiled);
+    const auto ref = store.entryRefFor(prog, in, ReplayForm::None);
+    ASSERT_NE(ref.streams, nullptr);
+    ASSERT_NE(ref.ops, nullptr);
+    EXPECT_EQ(store.entryRefFor(prog, in).compiled, ref.streams);
+    EXPECT_EQ(store.entryRefFor(prog, in, ReplayForm::Ops).compiled,
+              ref.ops);
   }
 }
 
@@ -348,9 +402,239 @@ TEST(ExperimentEngine, InterpretedPathNeverLowersTraces) {
   engine.computeMatrix(*model, prog, inputs);
   engine.reduceCells(*model, prog, inputs);
   for (const auto& in : inputs) {
-    EXPECT_EQ(engine.traceStore().entryRefFor(prog, in, false).compiled,
-              nullptr);
+    const auto ref =
+        engine.traceStore().entryRefFor(prog, in, ReplayForm::None);
+    EXPECT_EQ(ref.streams, nullptr);
+    EXPECT_EQ(ref.ops, nullptr);
   }
+}
+
+TEST(ExperimentEngine, EachModelLowersOnlyTheFormItReplays) {
+  // An in-order sweep lowers Streams only; an OOO sweep on the same engine
+  // then lowers Ops next to them, leaving the published Streams untouched.
+  // Both results match an interpreted matrix under the core:: evaluators.
+  const auto prog = testProgram();
+  const auto inputs = testInputs(prog, 6);
+  PlatformOptions opts;
+  opts.numStates = 4;
+  EngineConfig interpCfg;
+  interpCfg.usePackedReplay = false;
+  ExperimentEngine reference(interpCfg);
+  ExperimentEngine engine;
+  const auto sweep = [&](const std::string& platform) {
+    const auto model =
+        PlatformRegistry::instance().make(platform, prog, opts);
+    ASSERT_TRUE(model->supportsPackedReplay()) << platform;
+    const auto acc = engine.reduceCells(*model, prog, inputs);
+    const auto m = reference.computeMatrix(*model, prog, inputs);
+    expectSamePredictabilityValue(acc.pr(), core::timingPredictability(m),
+                                  platform);
+    expectSamePredictabilityValue(
+        acc.sipr(), core::stateInducedPredictability(m), platform);
+    expectSamePredictabilityValue(
+        acc.iipr(), core::inputInducedPredictability(m), platform);
+  };
+
+  sweep("inorder-lru");
+  std::vector<const ReplayProgram*> streams;
+  for (const auto& in : inputs) {
+    const auto ref =
+        engine.traceStore().entryRefFor(prog, in, ReplayForm::None);
+    ASSERT_NE(ref.streams, nullptr);
+    EXPECT_EQ(ref.ops, nullptr);
+    EXPECT_TRUE(ref.streams->ops.empty());
+    streams.push_back(ref.streams);
+  }
+
+  sweep("ooo-fifo");
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    const auto ref =
+        engine.traceStore().entryRefFor(prog, inputs[i], ReplayForm::None);
+    EXPECT_EQ(ref.streams, streams[i]);
+    ASSERT_NE(ref.ops, nullptr);
+    expectSameReplay(*ref.ops, compileTrace(*ref.trace, ReplayForm::Ops));
+  }
+}
+
+TEST(TraceStore, KeyIsExactOnEveryInputBinding) {
+  // Each pair differs in one respect of its bindings only; several are
+  // trace-equal, and all must still be distinct keys.  A program that
+  // halts at once runs any input.
+  isa::Program halt;
+  halt.code = {isa::Instr{isa::Op::HALT, 0, 0, 0, 0}};
+  const auto input = [](std::map<int, std::int64_t> regs,
+                        std::map<std::int64_t, std::int64_t> mem) {
+    isa::Input in;
+    in.regs = std::move(regs);
+    in.mem = std::move(mem);
+    return in;
+  };
+  const std::int64_t low32 = 0xffffffffLL;  // -1's low 32 bits
+  struct Pair {
+    const char* what;
+    isa::Input a, b;
+  };
+  const std::vector<Pair> pairs = {
+      {"one reg value", input({{1, 5}, {2, 6}}, {}),
+       input({{1, 5}, {2, 7}}, {})},
+      {"one mem value", input({}, {{8, 1}, {9, 2}}),
+       input({}, {{8, 1}, {9, 3}})},
+      {"r5=7 vs m5=7", input({{5, 7}}, {}), input({}, {{5, 7}})},
+      // Without the register count both would read 1, 5, 0.
+      {"r1=5 vs m5=0", input({{1, 5}}, {}), input({}, {{5, 0}})},
+      {"r1=23 vs r12=3", input({{1, 23}}, {}), input({{12, 3}}, {})},
+      {"negative reg value", input({{1, -1}}, {}), input({{1, low32}}, {})},
+      {"negative mem value", input({}, {{3, -5}}), input({}, {{3, 5}})},
+      {"negative mem address", input({}, {{-1, 4}}),
+       input({}, {{low32, 4}})},
+      {"empty vs r1=0", input({}, {}), input({{1, 0}}, {})},
+      {"empty vs m0=0", input({}, {}), input({}, {{0, 0}})},
+  };
+  for (const Pair& p : pairs) {
+    TraceStore store;
+    const auto a = store.entryRefFor(halt, p.a, ReplayForm::None);
+    const auto b = store.entryRefFor(halt, p.b, ReplayForm::None);
+    EXPECT_NE(a.trace, b.trace) << p.what;
+    EXPECT_EQ(store.size(), 2u) << p.what;
+    EXPECT_EQ(store.misses(), 2u) << p.what;
+    EXPECT_EQ(store.hits(), 0u) << p.what;
+
+    // The name is a label, not a binding: a renamed copy hits.
+    isa::Input renamed = p.b;
+    renamed.name = "renamed";
+    EXPECT_EQ(store.entryRefFor(halt, renamed, ReplayForm::None).trace,
+              b.trace)
+        << p.what;
+    EXPECT_EQ(store.size(), 2u) << p.what;
+    EXPECT_EQ(store.hits(), 1u) << p.what;
+  }
+}
+
+/// Candidate values for a fingerprint field: zero, one, the sign bit and
+/// all ones at every width the record uses — so imm = INT32_MIN and
+/// memWordAddr -1 <-> 0 are among the changes checked.
+const std::vector<std::int64_t> kFieldValues = {
+    0,
+    1,
+    -1,
+    0xff,
+    0x80,
+    std::numeric_limits<std::int32_t>::min(),
+    std::numeric_limits<std::int32_t>::max(),
+    std::int64_t{1} << 32,
+    std::numeric_limits<std::int64_t>::min(),
+    std::numeric_limits<std::int64_t>::max(),
+};
+
+TEST(TraceStore, TraceFingerprintSeesEveryRecordField) {
+  // Two base records: all zeros, and every field at all ones (so a packing
+  // that lets two fields share a bit hides a change to either).  Changing
+  // one field of the middle record must change the fingerprint.
+  isa::ExecRecord zeros;
+  zeros.memWordAddr = 0;
+  isa::ExecRecord ones;
+  ones.pc = -1;
+  ones.instr = isa::Instr{static_cast<isa::Op>(0xff), 0xff, 0xff, 0xff, -1};
+  ones.branchTaken = true;
+  ones.nextPc = -1;
+  ones.memWordAddr = -1;
+  ones.extraLatency = -1;
+
+  using Set = void (*)(isa::ExecRecord&, std::int64_t);
+  const std::vector<std::pair<const char*, Set>> fields = {
+      {"pc", [](isa::ExecRecord& r, std::int64_t v) {
+         r.pc = static_cast<std::int32_t>(v);
+       }},
+      {"op", [](isa::ExecRecord& r, std::int64_t v) {
+         r.instr.op = static_cast<isa::Op>(static_cast<std::uint8_t>(v));
+       }},
+      {"rd", [](isa::ExecRecord& r, std::int64_t v) {
+         r.instr.rd = static_cast<std::uint8_t>(v);
+       }},
+      {"rs1", [](isa::ExecRecord& r, std::int64_t v) {
+         r.instr.rs1 = static_cast<std::uint8_t>(v);
+       }},
+      {"rs2", [](isa::ExecRecord& r, std::int64_t v) {
+         r.instr.rs2 = static_cast<std::uint8_t>(v);
+       }},
+      {"imm", [](isa::ExecRecord& r, std::int64_t v) {
+         r.instr.imm = static_cast<std::int32_t>(v);
+       }},
+      {"branchTaken", [](isa::ExecRecord& r, std::int64_t v) {
+         r.branchTaken = v != 0;
+       }},
+      {"nextPc", [](isa::ExecRecord& r, std::int64_t v) {
+         r.nextPc = static_cast<std::int32_t>(v);
+       }},
+      {"memWordAddr", [](isa::ExecRecord& r, std::int64_t v) {
+         r.memWordAddr = v;
+       }},
+      {"extraLatency", [](isa::ExecRecord& r, std::int64_t v) {
+         r.extraLatency = static_cast<std::int32_t>(v);
+       }},
+  };
+  int checked = 0;
+  for (const isa::ExecRecord& base : {zeros, ones}) {
+    const isa::Trace trace(3, base);
+    const std::uint64_t fp = traceFingerprint(trace);
+    for (const auto& [name, set] : fields) {
+      for (const std::int64_t v : kFieldValues) {
+        isa::Trace changed = trace;
+        set(changed[1], v);
+        if (tracesIdentical(changed, trace)) continue;  // v truncated to base
+        EXPECT_NE(traceFingerprint(changed), fp)
+            << name << " = " << v << " on the "
+            << (base.pc == 0 ? "zeros" : "ones") << " record";
+        ++checked;
+      }
+    }
+  }
+  EXPECT_GT(checked, 100);
+}
+
+TEST(TraceStore, ProgramFingerprintSeesEveryInstructionField) {
+  const isa::Instr zeros{isa::Op::ADD, 0, 0, 0, 0};
+  const isa::Instr ones{static_cast<isa::Op>(0xff), 0xff, 0xff, 0xff, -1};
+  using Set = void (*)(isa::Instr&, std::int64_t);
+  const std::vector<std::pair<const char*, Set>> fields = {
+      {"op", [](isa::Instr& i, std::int64_t v) {
+         i.op = static_cast<isa::Op>(static_cast<std::uint8_t>(v));
+       }},
+      {"rd", [](isa::Instr& i, std::int64_t v) {
+         i.rd = static_cast<std::uint8_t>(v);
+       }},
+      {"rs1", [](isa::Instr& i, std::int64_t v) {
+         i.rs1 = static_cast<std::uint8_t>(v);
+       }},
+      {"rs2", [](isa::Instr& i, std::int64_t v) {
+         i.rs2 = static_cast<std::uint8_t>(v);
+       }},
+      {"imm", [](isa::Instr& i, std::int64_t v) {
+         i.imm = static_cast<std::int32_t>(v);
+       }},
+  };
+  const auto same = [](const isa::Instr& a, const isa::Instr& b) {
+    return a.op == b.op && a.rd == b.rd && a.rs1 == b.rs1 &&
+           a.rs2 == b.rs2 && a.imm == b.imm;
+  };
+  int checked = 0;
+  for (const isa::Instr& base : {zeros, ones}) {
+    isa::Program prog;
+    prog.code.assign(3, base);
+    const std::uint64_t fp = programFingerprint(prog);
+    for (const auto& [name, set] : fields) {
+      for (const std::int64_t v : kFieldValues) {
+        isa::Program changed = prog;
+        set(changed.code[1], v);
+        if (same(changed.code[1], base)) continue;  // v truncated to base
+        EXPECT_NE(programFingerprint(changed), fp)
+            << name << " = " << v << " on the "
+            << (base.rd == 0 ? "zeros" : "ones") << " instruction";
+        ++checked;
+      }
+    }
+  }
+  EXPECT_GT(checked, 50);
 }
 
 class ThrowingModel : public TimingModel {

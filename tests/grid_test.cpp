@@ -18,11 +18,14 @@
 
 #include <atomic>
 #include <cstdint>
+#include <filesystem>
 #include <fstream>
+#include <functional>
 #include <mutex>
 #include <optional>
 #include <random>
 #include <set>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -95,8 +98,12 @@ TestGrid makeTestGrid() {
 /// handshake exactly once.
 class InProcessServer {
  public:
-  explicit InProcessServer(int workers = 2, std::size_t cacheEntries = 64,
-                           bool workerListen = false) {
+  /// `configure` may adjust the config last (e.g. spawned worker slots
+  /// instead of the in-process evaluator).
+  explicit InProcessServer(
+      int workers = 2, std::size_t cacheEntries = 64,
+      bool workerListen = false,
+      const std::function<void(grid::ServerConfig&)>& configure = {}) {
     path_ = uniqueSocketPath();
     endpointText_ = "unix:" + path_;
     grid::ServerConfig cfg;
@@ -109,6 +116,7 @@ class InProcessServer {
       workerPath_ = uniqueSocketPath();
       cfg.workerEndpoint = "unix:" + workerPath_;
     }
+    if (configure) configure(cfg);
     server_.emplace(std::move(cfg));
     thread_ = std::thread([this] { server_->serveForever(); });
   }
@@ -894,6 +902,82 @@ TEST(GridServer, RejectsJobsForUnknownNamesWithoutDying) {
   const auto stats = client.stats();
   EXPECT_EQ(stats.counters.at("grid.jobs.failed"), 1u);
   EXPECT_EQ(stats.counters.at("grid.jobs"), 1u);
+}
+
+/// Live or zombie children of this process whose command name is `comm`.
+std::vector<int> childrenNamed(const std::string& comm) {
+  std::vector<int> pids;
+  std::error_code ec;
+  for (const auto& entry : std::filesystem::directory_iterator("/proc", ec)) {
+    const std::string pid = entry.path().filename().string();
+    if (pid.find_first_not_of("0123456789") != std::string::npos) continue;
+    std::ifstream stat(entry.path() / "stat");
+    std::string line;
+    if (!std::getline(stat, line)) continue;  // exited meanwhile
+    // "pid (comm) state ppid ...": comm may hold spaces, so split on the
+    // parentheses.
+    const auto open = line.find('(');
+    const auto close = line.rfind(')');
+    if (open == std::string::npos || close == std::string::npos) continue;
+    std::istringstream rest(line.substr(close + 1));
+    char state = 0;
+    int ppid = 0;
+    rest >> state >> ppid;
+    if (ppid == ::getpid() && line.substr(open + 1, close - open - 1) == comm)
+      pids.push_back(std::stoi(pid));
+  }
+  return pids;
+}
+
+TEST(GridServer, SpawnedChildThatNeverSaysHelloIsRespawnedThenRetired) {
+  // Without a hello deadline, a spawned child that never sends its
+  // WorkerHello holds its slot at capacity 0 forever and the submit hangs.
+  // The child gets the server's connTimeoutMs for its hello: each silent
+  // child is killed and counted as a death, the slot respawns within
+  // maxSpawnsPerSlot, and then the job fails with the spawn-budget error.
+  const auto g = makeTestGrid();
+  {
+    InProcessServer fixture(
+        /*workers=*/1, 64, false, [](grid::ServerConfig& cfg) {
+          cfg.eval = nullptr;
+          cfg.scheduler.workerCommand = {"/bin/sh", "-c", "exec sleep 30"};
+          cfg.scheduler.maxSpawnsPerSlot = 2;
+          cfg.connTimeoutMs = 300;
+        });
+    grid::ClientOptions options;
+    options.connectTimeoutMs = 5000;
+    // A missing hello deadline fails the test here instead of hanging it.
+    options.ioTimeoutMs = 10'000;
+    {
+      grid::GridClient client(fixture.endpoint(), options);
+      const auto t0 = std::chrono::steady_clock::now();
+      try {
+        client.submit(g.whole, 2);
+        ADD_FAILURE() << "a job with no live worker succeeded";
+      } catch (const grid::net::TimeoutError& e) {
+        FAIL() << "the submit hung until the client deadline: " << e.what();
+      } catch (const std::runtime_error& e) {
+        EXPECT_NE(std::string(e.what()).find("spawn budget"),
+                  std::string::npos)
+            << e.what();
+      }
+      EXPECT_LT(std::chrono::steady_clock::now() - t0,
+                std::chrono::seconds(5));
+
+      // The daemon keeps serving, and both silent children were deaths.
+      const auto stats = client.stats();
+      EXPECT_EQ(stats.counters.at("grid.worker.spawns"), 2u);
+      EXPECT_EQ(stats.counters.at("grid.worker.deaths"), 2u);
+      EXPECT_EQ(stats.counters.at("grid.jobs.failed"), 1u);
+    }
+    EXPECT_EQ(grid::GridClient(fixture.endpoint(), options)
+                  .stats()
+                  .counters.at("grid.worker.deaths"),
+              2u);
+  }
+  // Killed children were reaped, not left running or as zombies.
+  EXPECT_TRUE(childrenNamed("sleep").empty());
+  EXPECT_TRUE(childrenNamed("sh").empty());
 }
 
 // -------------------------------------------------- study-layer entry

@@ -418,7 +418,8 @@ TEST(TraceStore, CachesCompiledFormNextToTrace) {
   EXPECT_EQ(&rp1, &rp2);  // lowered once, stable pointer
   const auto ref = store.entryRefFor(prog, inputs[0]);
   EXPECT_EQ(ref.compiled, &rp1);
-  EXPECT_EQ(ref.trace, store.entryRefFor(prog, inputs[0], false).trace);
+  EXPECT_EQ(ref.trace,
+            store.entryRefFor(prog, inputs[0], exp::ReplayForm::None).trace);
 
   // The compiled form is the lowering of the memoized trace.
   const auto fresh = exp::compileTrace(*ref.trace);

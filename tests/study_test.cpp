@@ -292,7 +292,9 @@ TEST(WorkloadRegistry, DupPresetIsDuplicateHeavy) {
       WorkloadRegistry::instance().make("linearsearch-16x64-dup");
   ASSERT_EQ(w.inputs.size(), 64u);
   exp::TraceStore store;
-  for (const auto& in : w.inputs) store.entryRefFor(w.program, in, false);
+  for (const auto& in : w.inputs) {
+    store.entryRefFor(w.program, in, exp::ReplayForm::None);
+  }
   EXPECT_EQ(store.size(), 48u);
   EXPECT_EQ(store.classCount(), 16u);
 }

@@ -59,8 +59,10 @@ int usage() {
       "                                            a restart with the same\n"
       "                                            dir serves the same hits\n"
       "                   [--conn-timeout-ms N]    drop connections stalled\n"
-      "                                            this long (default 30000,\n"
-      "                                            0 = never)\n"
+      "                                            this long, and respawn\n"
+      "                                            spawned workers that do\n"
+      "                                            not say hello within it\n"
+      "                                            (default 30000, 0 = never)\n"
       "                   [--max-attempts N]       per-shard retry budget\n"
       "                   [--retry-backoff-ms N]   base retry backoff\n"
       "                   [--shard-timeout-ms N]   per-shard kill timeout\n"
