@@ -15,6 +15,7 @@
 // BENCH_exhaustive.json artifact ($BENCH_JSON overrides the output path)
 // that scripts/bench_run.sh and the CI perf-smoke job consume.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <thread>
@@ -337,11 +338,14 @@ std::string resolveGrid(int reps) {
 /// an 8-shard 64 x 64 grid at K ∈ {1, 2, 4, 8} stealing workers through
 /// the registry-resolving evaluator — the same fan-out an in-process
 /// pred-grid-server performs per job.  Reported as cells/sec so the JSON
-/// trend records scheduler + per-shard-engine overhead (every shard
-/// resolves its own traces, the honest distributed cost); each K's merged
-/// bytes are asserted identical to a single-process reduceCells.  On a
-/// 1-core container the K curve is flat — the gate is a throughput FLOOR,
-/// not a scaling claim.
+/// trend records scheduler + per-shard setup overhead; each K's merged
+/// bytes are asserted identical to a single-process reduceCells.  Every
+/// run starts K fresh worker threads, and each keeps the grid it evaluated
+/// last resident, so a job resolves each input at most once per thread:
+/// trace_store_misses records, per K, the most inputs one job resolved
+/// (summed over its shards by mergeFleet), which bench_run.sh --smoke
+/// gates at K x |I|.  The gate is a count, so host load cannot make it
+/// flaky; the cells/sec gate is a throughput FLOOR, not a scaling claim.
 std::string shardedThroughputGrid(bool* identical) {
   constexpr int kStates = 64;
   constexpr std::size_t kShards = 8;
@@ -374,19 +378,27 @@ std::string shardedThroughputGrid(bool* identical) {
   const auto plan = exp::planShards(whole, kShards);
   bool allIdentical = true;
   bench::JsonObject perK;
+  bench::JsonObject missesPerK;
   char buf[64];
   for (const int k : {1, 2, 4, 8}) {
     grid::SchedulerConfig cfg;
     cfg.workers = k;
     grid::WorkStealingScheduler sched(cfg);
     std::string merged;
-    const double ns =
-        bestOfNs(2, [&] { merged = sched.run(plan, eval).merged.serialize(); });
+    std::uint64_t misses = 0;
+    const double ns = bestOfNs(2, [&] {
+      const grid::JobOutcome outcome = sched.run(plan, eval);
+      merged = outcome.merged.serialize();
+      misses = std::max(misses, outcome.fleet.counter("trace_store.misses"));
+    });
     allIdentical = allIdentical && merged == refBytes;
     const double cellsPerSec = cells * 1e9 / ns;
     std::snprintf(buf, sizeof buf, "%.0f", cellsPerSec);
     bench::printKV("K=" + std::to_string(k) + " workers, cells/sec", buf);
+    bench::printKV("K=" + std::to_string(k) + " workers, inputs resolved",
+                   std::to_string(misses));
     perK.field("k" + std::to_string(k), cellsPerSec);
+    missesPerK.field("k" + std::to_string(k), misses);
   }
   bench::printKV("merged == single-process (bit-identical, all K)",
                  allIdentical ? "yes" : "NO (BUG)");
@@ -400,7 +412,8 @@ std::string shardedThroughputGrid(bool* identical) {
       .field("platform", platform)
       .rawField("grid", gridShape.str())
       .rawField("bit_identical", allIdentical ? "true" : "false")
-      .rawField("cells_per_sec", perK.str());
+      .rawField("cells_per_sec", perK.str())
+      .rawField("trace_store_misses", missesPerK.str());
   *identical = allIdentical;
   return obj.str();
 }

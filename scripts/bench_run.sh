@@ -21,6 +21,10 @@
 #               bit-identical to the single-process run, or any K's
 #               cells/sec falls below sharded.min_cells_per_sec /
 #               PERF_SMOKE_FACTOR, or
+#             * any K's job resolved more than K x |I| inputs
+#               (sharded.trace_store_misses): each worker thread keeps the
+#               grid it evaluated last resident, so it resolves each input
+#               at most once per job.  A count, so no factor applies, or
 #             * the attached-worker grid (an attach-only GridServer on
 #               loopback TCP serving K in {1,2,4} remote attach workers)
 #               is missing, not bit-identical, or any K's cells/sec
@@ -123,6 +127,22 @@ else:
             print(f"FAIL: sharded {k}: scheduler throughput fell below "
                   "the baseline floor")
             failed = True
+    inputs = sharded["grid"]["inputs"]
+    resolved = sharded.get("trace_store_misses")
+    if resolved is None:
+        print("FAIL: sharded: trace_store_misses missing from the bench "
+              "JSON")
+        failed = True
+    else:
+        for k, misses in sorted(resolved.items()):
+            limit = int(k[1:]) * inputs
+            print(f"sharded {k}: {misses} inputs resolved (limit {limit} = "
+                  f"{k[1:]} worker threads x {inputs} inputs)")
+            if misses > limit:
+                print(f"FAIL: sharded {k}: a job resolved inputs more than "
+                      "once per worker thread; resident grids are not "
+                      "reused")
+                failed = True
 
 attached = measured.get("attached")
 if attached is None:

@@ -1,6 +1,7 @@
 #include "exp/engine.h"
 
 #include <algorithm>
+#include <iterator>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -23,6 +24,9 @@ ExperimentEngine::ExperimentEngine(EngineConfig config) : config_(config) {
   cCells_ = &metrics_.counter("engine.cells");
   cTraceClasses_ = &metrics_.counter("engine.trace_classes");
   cCellsCollapsed_ = &metrics_.counter("engine.cells_collapsed");
+  cModelHits_ = &metrics_.counter("engine.model_cache.hits");
+  cModelMisses_ = &metrics_.counter("engine.model_cache.misses");
+  pModelMake_ = &metrics_.phase("model.make");
   pResolve_ = &metrics_.phase("resolve");
   pReplayPacked_ = &metrics_.phase("replay.packed");
   pReplayInterp_ = &metrics_.phase("replay.interpreted");
@@ -43,6 +47,31 @@ obs::RunReport ExperimentEngine::report() const {
   r.counters["trace_store.classes"] =
       static_cast<std::uint64_t>(store_.classCount());
   return r;
+}
+
+std::shared_ptr<const TimingModel> ExperimentEngine::model(
+    const PlatformRegistry& registry, const std::string& platform,
+    const isa::Program& program, const PlatformOptions& options) {
+  ModelKey key{registry.id(), platform, programFingerprint(program),
+               canonicalOptionsText(options)};
+  std::lock_guard<std::mutex> lock(modelMutex_);
+  const auto it =
+      std::find_if(models_.begin(), models_.end(),
+                   [&key](const CachedModel& c) { return c.key == key; });
+  if (it != models_.end()) {
+    cModelHits_->add();
+    std::rotate(models_.begin(), it, std::next(it));
+    return models_.front().model;
+  }
+  cModelMisses_->add();
+  std::shared_ptr<const TimingModel> made;
+  {
+    obs::Span span(pModelMake_);
+    made = registry.make(platform, program, options);
+  }
+  if (models_.size() == kModelCacheCapacity) models_.pop_back();
+  models_.insert(models_.begin(), CachedModel{std::move(key), made});
+  return made;
 }
 
 int ExperimentEngine::resolvedThreads() const {

@@ -43,9 +43,22 @@
 // each input — and the replay form its models read — is computed once and
 // replayed across all hardware states and across every matrix the engine
 // computes.
+//
+// It also owns a model cache, so the enumerated Q of a grid is built once
+// per engine rather than once per run: model() returns the TimingModel a
+// PlatformRegistry makes of (platform, program, options), keyed by exact
+// content — the registry's id(), the platform name, programFingerprint (the
+// program part of the TraceStore's key) and canonicalOptionsText (the
+// options block of the ShardSpec wire) — never by a name or an address
+// alone.  It keeps the kModelCacheCapacity most recently used models;
+// callers share ownership, so an eviction never frees a model in use.  A
+// fresh engine starts with both caches empty, so a cold query stays cold.
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <mutex>
+#include <string>
 #include <vector>
 
 #include "core/definitions.h"
@@ -148,6 +161,21 @@ class ExperimentEngine {
   std::vector<core::StreamingMeasures> reduceCellsBatch(
       const std::vector<GridSpec>& grids);
 
+  /// Models the model cache keeps (least recently used evicted first).
+  static constexpr std::size_t kModelCacheCapacity = 16;
+
+  /// The model `registry` makes of `platform` for `program` under
+  /// `options`, made on the first lookup of its key and shared after that
+  /// (see the file comment for the key).  Counts engine.model_cache.hits /
+  /// .misses; a miss records phase model.make.  A miss makes the model
+  /// under the cache's lock, so concurrent lookups of one key make it once.
+  /// Throws what registry.make throws (unknown platform names), caching
+  /// nothing.
+  std::shared_ptr<const TimingModel> model(const PlatformRegistry& registry,
+                                           const std::string& platform,
+                                           const isa::Program& program,
+                                           const PlatformOptions& options);
+
   /// Threads a computeMatrix call will actually use.
   int resolvedThreads() const;
 
@@ -205,6 +233,21 @@ class ExperimentEngine {
   EngineConfig config_;
   TraceStore store_;
 
+  /// Model-cache key: exact content, compared field for field.
+  struct ModelKey {
+    std::uint64_t registry;
+    std::string platform;
+    std::uint64_t program;
+    std::string options;
+    bool operator==(const ModelKey&) const = default;
+  };
+  struct CachedModel {
+    ModelKey key;
+    std::shared_ptr<const TimingModel> model;
+  };
+  std::mutex modelMutex_;
+  std::vector<CachedModel> models_;  ///< most recently used first
+
   // Observability.  One registry per engine; the hot paths never touch the
   // registry map — the counters and phase accumulators they hit are
   // resolved once here (get-or-create returns stable addresses) and cached
@@ -218,6 +261,9 @@ class ExperimentEngine {
   obs::Counter* cCells_;
   obs::Counter* cTraceClasses_;
   obs::Counter* cCellsCollapsed_;
+  obs::Counter* cModelHits_;
+  obs::Counter* cModelMisses_;
+  obs::PhaseAccum* pModelMake_;
   obs::PhaseAccum* pResolve_;
   obs::PhaseAccum* pReplayPacked_;
   obs::PhaseAccum* pReplayInterp_;

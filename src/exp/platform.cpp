@@ -1,6 +1,8 @@
 #include "exp/platform.h"
 
 #include <algorithm>
+#include <atomic>
+#include <sstream>
 #include <stdexcept>
 #include <utility>
 
@@ -440,11 +442,51 @@ class SmtModel : public TimingModel {
   std::vector<std::vector<std::size_t>> contexts_;
 };
 
+// ----------------------------------------------------------------- options
+
+void putGeom(std::ostream& os, const char* key,
+             const cache::CacheGeometry& g) {
+  os << key << " " << g.lineWords << " " << g.numSets << " " << g.ways
+     << "\n";
+}
+
+void putTiming(std::ostream& os, const char* key,
+               const cache::CacheTiming& t) {
+  os << key << " " << t.hitLatency << " " << t.missLatency << "\n";
+}
+
+/// Source of PlatformRegistry::id(): never reset, so never reused.
+std::atomic<std::uint64_t> nextRegistryId{1};
+
 }  // namespace
+
+std::string canonicalOptionsText(const PlatformOptions& o) {
+  std::ostringstream os;
+  os << "states " << o.numStates << "\n";
+  os << "seed " << o.seed << "\n";
+  os << "warm-addr-space " << o.warmAddrSpace << "\n";
+  putGeom(os, "data-geom", o.dataGeom);
+  putTiming(os, "data-timing", o.dataTiming);
+  putGeom(os, "instr-geom", o.instrGeom);
+  putTiming(os, "instr-timing", o.instrTiming);
+  os << "inorder " << o.inorder.aluLatency << " " << o.inorder.mulLatency
+     << " " << (o.inorder.constantDiv ? 1 : 0) << " "
+     << o.inorder.controlLatency << " " << o.inorder.takenPenalty << " "
+     << o.inorder.mispredictPenalty << "\n";
+  os << "ooo " << o.ooo.aluLatency << " " << o.ooo.mulLatency << " "
+     << (o.ooo.constantDiv ? 1 : 0) << " " << o.ooo.controlLatency << " "
+     << o.ooo.takenRedirect << " " << o.ooo.dispatchWidth << "\n";
+  os << "pret " << o.pret.numThreads << "\n";
+  os << "smt " << static_cast<int>(o.smt.policy) << " " << o.smt.aluLatency
+     << " " << o.smt.mulLatency << " " << o.smt.memLatency << " "
+     << o.smt.controlLatency << " " << (o.smt.constantDiv ? 1 : 0) << "\n";
+  os << "scratchpad-latency " << o.scratchpadLatency << "\n";
+  return os.str();
+}
 
 // ---------------------------------------------------------------- registry
 
-PlatformRegistry::PlatformRegistry() {
+PlatformRegistry::PlatformRegistry() : id_(nextRegistryId.fetch_add(1)) {
   auto addInOrder = [this](const std::string& name, cache::Policy policy,
                            bool icache, bool bimodal,
                            const std::string& description) {

@@ -144,6 +144,14 @@ struct PlatformOptions {
   Cycles scratchpadLatency = 2;
 };
 
+/// The canonical text of a PlatformOptions: every field, one "key
+/// value..." line per group ("states" ... "scratchpad-latency").  It is the
+/// options block of the ShardSpec wire format (exp/shard.h), which the grid
+/// result cache keys on, and the options part of the engine's model-cache
+/// key (exp/engine.h) — one renderer, so neither can miss a field the
+/// other sees.
+std::string canonicalOptionsText(const PlatformOptions& options);
+
 /// A named hardware composition: a factory from (program, options) to a
 /// TimingModel.
 struct Platform {
@@ -179,6 +187,8 @@ struct Platform {
 ///
 /// All methods are thread-safe; registered platforms are never removed, so
 /// pointers returned by find() stay valid for the registry's lifetime.
+/// Nor can a name be re-bound (add rejects duplicates), so (id(), name)
+/// pins one factory for the process's lifetime.
 class PlatformRegistry {
  public:
   /// The shared registry instance.
@@ -199,10 +209,17 @@ class PlatformRegistry {
   /// All registered names, sorted.
   std::vector<std::string> names() const;
 
+  /// Process-unique and never reused, unlike the registry's address: two
+  /// registries can bind one name to different factories, and a dead
+  /// registry's address can come back.  Content-keyed caches of made models
+  /// (ExperimentEngine::model) key on it.
+  std::uint64_t id() const { return id_; }
+
   /// A fresh registry with only the built-in presets (tests).
   PlatformRegistry();
 
  private:
+  const std::uint64_t id_;
   mutable std::mutex mutex_;
   std::map<std::string, Platform> platforms_;  // sorted; O(log n) find
 };

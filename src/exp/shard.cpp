@@ -46,17 +46,6 @@ bool flag(std::istream& in, const std::string& field) {
   return v == 1;
 }
 
-void putGeom(std::ostream& os, const char* key,
-             const cache::CacheGeometry& g) {
-  os << key << " " << g.lineWords << " " << g.numSets << " " << g.ways
-     << "\n";
-}
-
-void putTiming(std::ostream& os, const char* key,
-               const cache::CacheTiming& t) {
-  os << key << " " << t.hitLatency << " " << t.missLatency << "\n";
-}
-
 cache::CacheGeometry getGeom(std::istream& in, const std::string& key) {
   cache::CacheGeometry g;
   g.lineWords = number<std::int64_t>(in, key + " lineWords");
@@ -97,26 +86,7 @@ std::string serializeShardSpec(const ShardSpec& spec) {
      << " " << spec.engine.tileInputs << " "
      << (spec.engine.usePackedReplay ? 1 : 0) << " "
      << (spec.engine.collapseTraceClasses ? 1 : 0) << "\n";
-  const PlatformOptions& o = spec.options;
-  os << "states " << o.numStates << "\n";
-  os << "seed " << o.seed << "\n";
-  os << "warm-addr-space " << o.warmAddrSpace << "\n";
-  putGeom(os, "data-geom", o.dataGeom);
-  putTiming(os, "data-timing", o.dataTiming);
-  putGeom(os, "instr-geom", o.instrGeom);
-  putTiming(os, "instr-timing", o.instrTiming);
-  os << "inorder " << o.inorder.aluLatency << " " << o.inorder.mulLatency
-     << " " << (o.inorder.constantDiv ? 1 : 0) << " "
-     << o.inorder.controlLatency << " " << o.inorder.takenPenalty << " "
-     << o.inorder.mispredictPenalty << "\n";
-  os << "ooo " << o.ooo.aluLatency << " " << o.ooo.mulLatency << " "
-     << (o.ooo.constantDiv ? 1 : 0) << " " << o.ooo.controlLatency << " "
-     << o.ooo.takenRedirect << " " << o.ooo.dispatchWidth << "\n";
-  os << "pret " << o.pret.numThreads << "\n";
-  os << "smt " << static_cast<int>(o.smt.policy) << " " << o.smt.aluLatency
-     << " " << o.smt.mulLatency << " " << o.smt.memLatency << " "
-     << o.smt.controlLatency << " " << (o.smt.constantDiv ? 1 : 0) << "\n";
-  os << "scratchpad-latency " << o.scratchpadLatency << "\n";
+  os << canonicalOptionsText(spec.options);
   os << "end\n";
   return os.str();
 }
@@ -278,20 +248,22 @@ std::string shardLabel(const ShardSpec& spec) {
          "," + std::to_string(spec.iEnd) + ")";
 }
 
-core::StreamingMeasures evaluateShard(const ShardSpec& spec,
+core::StreamingMeasures evaluateShard(ExperimentEngine& engine,
+                                      const ShardSpec& spec,
                                       const isa::Program& program,
                                       const std::vector<isa::Input>& inputs,
                                       const PlatformRegistry& platforms,
                                       obs::RunReport* report) {
-  const auto model = platforms.make(spec.platform, program, spec.options);
-  ExperimentEngine engine(spec.engine);
   const auto start = std::chrono::steady_clock::now();
+  const obs::RunReport before =
+      report != nullptr ? engine.report() : obs::RunReport{};
+  const auto model =
+      engine.model(platforms, spec.platform, program, spec.options);
   auto acc = engine.reduceCellsRange(*model, program, inputs, spec.qBegin,
                                      spec.qEnd, spec.iBegin, spec.iEnd);
   if (report != nullptr) {
     const auto wall = std::chrono::steady_clock::now() - start;
-    // The engine is fresh, so its cumulative snapshot IS this shard's run.
-    *report = engine.report();
+    *report = engine.report().deltaSince(before);
     report->platform = spec.platform;
     report->workload = spec.workload;
     report->wallNs = static_cast<std::uint64_t>(
@@ -300,11 +272,20 @@ core::StreamingMeasures evaluateShard(const ShardSpec& spec,
     self.label = shardLabel(spec);
     self.wallNs = report->wallNs;
     self.cells = (spec.qEnd - spec.qBegin) * (spec.iEnd - spec.iBegin);
-    self.traceHits = engine.traceStore().hits();
-    self.traceMisses = engine.traceStore().misses();
+    self.traceHits = report->counter("trace_store.hits");
+    self.traceMisses = report->counter("trace_store.misses");
     report->shards.assign(1, std::move(self));
   }
   return acc;
+}
+
+core::StreamingMeasures evaluateShard(const ShardSpec& spec,
+                                      const isa::Program& program,
+                                      const std::vector<isa::Input>& inputs,
+                                      const PlatformRegistry& platforms,
+                                      obs::RunReport* report) {
+  ExperimentEngine engine(spec.engine);
+  return evaluateShard(engine, spec, program, inputs, platforms, report);
 }
 
 }  // namespace pred::exp

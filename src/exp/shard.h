@@ -18,7 +18,15 @@
 // Layering: this header stays below the study layer — specs carry the
 // WORKLOAD NAME only, and evaluateShard takes the already-resolved program
 // and inputs.  Name resolution against WorkloadRegistry lives in the
-// caller (study::Query::runSharded, the worker binary).
+// caller (study::Query::runSharded, and study::gridShardEvaluator, which
+// every grid worker runs).
+//
+// evaluateShard comes in two forms with one body: on the caller's engine,
+// whose model cache and TraceStore may already hold the shard's grid (the
+// grid evaluator keeps one such engine per thread), and on a fresh engine
+// built from spec.engine.  Either way its RunReport is the call's own
+// delta of the engine's cumulative report, so a shard on a warm engine
+// reports only what it did.
 
 #include <cstddef>
 #include <string>
@@ -83,19 +91,34 @@ std::string shardLabel(const ShardSpec& spec);
 /// same cache entry.
 std::string canonicalResultIdentity(const ShardSpec& spec);
 
-/// Evaluates one shard against the already-resolved workload: instantiates
-/// spec.platform for `program` via `platforms`, builds an ExperimentEngine
-/// from spec.engine, and folds exactly the spec's cells into a full-shape
-/// accumulator (ExperimentEngine::reduceCellsRange).  Throws
-/// std::invalid_argument on unknown platform names or ranges outside the
-/// instantiated model's grid.
+/// Evaluates one shard against the already-resolved workload on the
+/// caller's engine: takes spec.platform's model for `program` from
+/// engine.model (made on a miss, shared on a hit) and folds exactly the
+/// spec's cells into a full-shape accumulator
+/// (ExperimentEngine::reduceCellsRange).  spec.engine is not read; the
+/// engine's own config applies.  A warm engine — one that already holds the
+/// model and the traces of the spec's grid — makes nothing and resolves
+/// nothing.  Throws std::invalid_argument on unknown platform names or
+/// ranges outside the model's grid.
 ///
-/// When `report` is non-null it is overwritten with this shard's telemetry:
-/// the fresh engine's counters/phases/worker utilization, platform/workload
-/// context, the shard's wall time, and one self ShardStat (shardLabel,
-/// cells, trace-cache hits/misses) — the unit mergeFleet folds.  Filling it
-/// costs two clock reads plus a snapshot; the accumulator is bit-identical
-/// either way.
+/// When `report` is non-null it is overwritten with this call's telemetry,
+/// as a DELTA of the engine's cumulative report (deltaSince a snapshot
+/// taken on entry): counters, phases (model.make only when this call made
+/// the model), worker utilization, platform/workload context, the call's
+/// wall time (model lookup included), and one self ShardStat (shardLabel,
+/// cells, and this call's trace-store hits/misses) — the unit mergeFleet
+/// folds.  Filling it costs two clock reads plus two snapshots; the
+/// accumulator is bit-identical either way.
+core::StreamingMeasures evaluateShard(ExperimentEngine& engine,
+                                      const ShardSpec& spec,
+                                      const isa::Program& program,
+                                      const std::vector<isa::Input>& inputs,
+                                      const PlatformRegistry& platforms,
+                                      obs::RunReport* report);
+
+/// The cold form: evaluates on a fresh ExperimentEngine built from
+/// spec.engine (delegating to the overload above), so its report covers
+/// the whole shard including the model's construction.
 core::StreamingMeasures evaluateShard(
     const ShardSpec& spec, const isa::Program& program,
     const std::vector<isa::Input>& inputs,

@@ -2,11 +2,14 @@
 
 #include <cctype>
 #include <chrono>
+#include <memory>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "exp/shard.h"
 #include "grid/client.h"
+#include "obs/span.h"
 #include "study/query.h"
 
 namespace pred::study {
@@ -29,15 +32,55 @@ std::uint64_t distElapsedNs(std::chrono::steady_clock::time_point start) {
           .count());
 }
 
+/// What a thread keeps of the grid it evaluated last.
+struct ResidentGrid {
+  ResidentGrid(std::string k, const exp::EngineConfig& config)
+      : key(std::move(k)), engine(config) {}
+  std::string key;
+  WorkloadInstance workload;
+  exp::ExperimentEngine engine;
+};
+
+/// Everything in `spec` except its ranges, plus both registries' ids.
+std::string residentKey(const WorkloadRegistry& workloads,
+                        const exp::PlatformRegistry& platforms,
+                        exp::ShardSpec spec) {
+  spec.qBegin = spec.qEnd = spec.iBegin = spec.iEnd = 0;
+  return std::to_string(workloads.id()) + " " +
+         std::to_string(platforms.id()) + "\n" +
+         exp::serializeShardSpec(spec);
+}
+
 }  // namespace
 
 grid::ShardEvalFn gridShardEvaluator(const WorkloadRegistry& workloads,
                                      const exp::PlatformRegistry& platforms) {
   return [&workloads, &platforms](const exp::ShardSpec& spec) {
-    const WorkloadInstance w = workloads.make(spec.workload);
+    // Shared by every evaluator that runs on this thread; the key's
+    // registry ids keep evaluators over different registries apart.
+    thread_local std::unique_ptr<ResidentGrid> resident;
+    const auto start = std::chrono::steady_clock::now();
+    std::string key = residentKey(workloads, platforms, spec);
+    // The thread holds no grid while the call runs, so a throw leaves none.
+    std::unique_ptr<ResidentGrid> held = std::move(resident);
+    obs::PhaseAccum setup;
+    if (held == nullptr || held->key != key) {
+      held.reset();  // drop the old grid before building the new one
+      held = std::make_unique<ResidentGrid>(std::move(key), spec.engine);
+      obs::Span span(&setup);
+      held->workload = workloads.make(spec.workload);
+    }
     obs::RunReport report;
-    core::StreamingMeasures acc =
-        exp::evaluateShard(spec, w.program, w.inputs, platforms, &report);
+    core::StreamingMeasures acc = exp::evaluateShard(
+        held->engine, spec, held->workload.program, held->workload.inputs,
+        platforms, &report);
+    resident = std::move(held);
+    if (setup.count() > 0) {
+      report.phases["setup.workload"] =
+          obs::PhaseStat{setup.count(), setup.totalNs(), setup.maxNs()};
+    }
+    report.wallNs = distElapsedNs(start);
+    report.shards.front().wallNs = report.wallNs;
     return grid::ShardOutput{std::move(acc), std::move(report)};
   };
 }

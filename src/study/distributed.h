@@ -15,12 +15,32 @@
 
 namespace pred::study {
 
-/// An in-process shard evaluator over the registries: resolves
-/// spec.workload by name, instantiates spec.platform, and evaluates the
-/// shard's cells with full telemetry (exp::evaluateShard).  Thread-safe —
-/// every call materializes its own workload instance and engine — and
-/// therefore safe under the scheduler's stealing threads.  The registries
-/// must outlive the returned function (the shared instances always do).
+/// The shard evaluator over the registries, run by pred-shard-worker (run
+/// and attach) and by in-process GridServer slots and schedulers: resolves
+/// spec.workload by name, takes spec.platform's model from an engine, and
+/// evaluates the shard's cells with full telemetry (exp::evaluateShard on
+/// that engine).
+///
+/// Each thread that calls it keeps the grid it evaluated last RESIDENT: the
+/// WorkloadInstance plus an ExperimentEngine built from spec.engine, whose
+/// TraceStore and model cache stay warm.  The resident key is everything in
+/// the spec except its ranges (workload, platform, canonical options, the
+/// engine block) plus both registries' id()s, so evaluators over different
+/// registries never share a grid.  A shard with the same key as the last
+/// one makes no workload, no model and no trace — shards 2..N of a job on
+/// one thread only replay.  Another key drops the old grid before building
+/// the new one, and a call that throws leaves its thread with no resident
+/// grid.  So the bound is one grid per evaluating thread — `concurrency`
+/// grids per attach worker, one per LocalChannel — freed when the thread
+/// exits.  Residency is per thread, not pooled, because glibc gives each
+/// thread its own malloc arena: a grid handed between threads grows both.
+///
+/// The report is the shard's delta (exp::evaluateShard) with wall time over
+/// the whole call, and phases setup.workload (the workload's
+/// materialization) and model.make only on a call that built them.  Bytes
+/// are identical to a fresh evaluateShard's: a resident workload or model is
+/// the same object a rebuild would make.  Thread-safe; the registries must
+/// outlive the returned function (the shared instances always do).
 grid::ShardEvalFn gridShardEvaluator(
     const WorkloadRegistry& workloads = WorkloadRegistry::instance(),
     const exp::PlatformRegistry& platforms =

@@ -244,7 +244,8 @@ Finding Query::evalOne(exp::ExperimentEngine& engine,
                        const WorkloadInstance& w,
                        const std::string& platformName,
                        const exp::PlatformOptions& options) const {
-  const auto model = platforms_->make(platformName, w.program, options);
+  const auto model =
+      engine.model(*platforms_, platformName, w.program, options);
 
   if (spec_.mode == core::EvalMode::Sampled) {
     Finding f = detail::findingHeader(spec_.workload, platformName, *model,

@@ -34,7 +34,9 @@ std::vector<ScenarioResult> ScenarioSuite::run(
 
   // Materialize every workload once (registry ones included), then build
   // the workload-major cell list: one (model, program, inputs) grid per
-  // scenario, every platform instantiated against its row's program.
+  // scenario, every platform's model taken from the engine's model cache
+  // for its row's program (made on the engine's first run, shared on every
+  // later one) and held here for the whole batch.
   std::vector<WorkloadInstance> instances;
   instances.reserve(workloads_decl_.size());
   for (const auto& w : workloads_decl_) {
@@ -42,13 +44,14 @@ std::vector<ScenarioResult> ScenarioSuite::run(
                             ? workloads_->make(w.name)
                             : WorkloadInstance{w.program, w.inputs});
   }
-  std::vector<std::unique_ptr<exp::TimingModel>> models;
+  std::vector<std::shared_ptr<const exp::TimingModel>> models;
   std::vector<exp::ExperimentEngine::GridSpec> grids;
   models.reserve(numScenarios());
   grids.reserve(numScenarios());
   for (const auto& inst : instances) {
     for (const auto& p : platforms_decl_) {
-      models.push_back(platforms_->make(p.name, inst.program, p.options));
+      models.push_back(
+          engine.model(*platforms_, p.name, inst.program, p.options));
       grids.push_back(exp::ExperimentEngine::GridSpec{
           models.back().get(), &inst.program, &inst.inputs});
     }

@@ -1,5 +1,6 @@
 #include "study/workloads.h"
 
+#include <atomic>
 #include <stdexcept>
 #include <utility>
 
@@ -141,9 +142,12 @@ std::vector<isa::Input> magnitudeInputs(const isa::Program& prog,
   return inputs;
 }
 
+/// Source of WorkloadRegistry::id(): never reset, so never reused.
+std::atomic<std::uint64_t> nextRegistryId{1};
+
 }  // namespace
 
-WorkloadRegistry::WorkloadRegistry() {
+WorkloadRegistry::WorkloadRegistry() : id_(nextRegistryId.fetch_add(1)) {
   auto preset = [this](std::string name, std::string description,
                        std::function<WorkloadInstance()> make) {
     add(Workload{std::move(name), std::move(description), std::move(make)});

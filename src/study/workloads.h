@@ -12,6 +12,7 @@
 // All methods are thread-safe; registered workloads are never removed, so
 // pointers returned by find() stay valid for the registry's lifetime.
 
+#include <cstdint>
 #include <functional>
 #include <map>
 #include <mutex>
@@ -71,10 +72,17 @@ class WorkloadRegistry {
   /// All registered names, sorted.
   std::vector<std::string> names() const;
 
+  /// Process-unique and never reused, unlike the registry's address: two
+  /// registries can bind one name to different factories, and a dead
+  /// registry's address can come back.  The grid evaluator's resident-grid
+  /// key (study/distributed.h) carries it.
+  std::uint64_t id() const { return id_; }
+
   /// A fresh registry with only the built-in presets (tests).
   WorkloadRegistry();
 
  private:
+  const std::uint64_t id_;
   mutable std::mutex mutex_;
   std::map<std::string, Workload> workloads_;
 };

@@ -4,12 +4,21 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <istream>
+#include <limits>
+#include <sstream>
+#include <stdexcept>
+#include <string>
+#include <type_traits>
+#include <vector>
 
 #include "core/definitions.h"
 #include "core/domino.h"
 #include "core/measures.h"
 #include "core/report.h"
 #include "core/template.h"
+#include "core/wire.h"
 
 namespace pred::core {
 namespace {
@@ -262,6 +271,86 @@ TEST(Report, FmtPrecision) {
   EXPECT_EQ(fmt(0.75, 2), "0.75");
   EXPECT_EQ(fmt(1.0, 1), "1.0");
   EXPECT_NE(fmtVsBaseline(2.0, 4.0).find("0.50x"), std::string::npos);
+}
+
+// ------------------------------------------------------------------ wire
+
+/// The oracle: the stream-based parse (one istringstream per token) that
+/// wire::nextNumber's from_chars version must match token for token.
+template <typename T>
+T streamNextNumber(std::istream& in, const std::string& context,
+                   const std::string& field) {
+  const std::string tok = wire::nextToken(in, context, field);
+  T value{};
+  std::istringstream num(tok);
+  if (!(num >> value) || !(num >> std::ws).eof()) {
+    wire::fail(context, "malformed " + field + ": '" + tok + "'");
+  }
+  if constexpr (!std::is_signed_v<T>) {
+    if (tok.front() == '-') {
+      wire::fail(context, "malformed " + field + ": '" + tok + "'");
+    }
+  }
+  return value;
+}
+
+/// "value N" or "error <what()>" — the whole observable outcome of a parse.
+template <typename T, typename Parse>
+std::string outcomeOf(const std::string& text, Parse parse) {
+  std::istringstream in(text);
+  try {
+    const T v = parse(in);
+    return "value " + std::to_string(v);
+  } catch (const std::invalid_argument& e) {
+    return std::string("error ") + e.what();
+  }
+}
+
+/// A decimal numeral one further from zero: "127" -> "128", "-128" ->
+/// "-129".
+std::string pastLimit(std::string numeral) {
+  std::size_t k = numeral.size();
+  while (k > 0 && numeral[k - 1] == '9') numeral[--k] = '0';
+  if (k == 0 || numeral[k - 1] == '-') {
+    numeral.insert(k, "1");
+  } else {
+    ++numeral[k - 1];
+  }
+  return numeral;
+}
+
+template <typename T>
+void expectSameAsStreamExtraction() {
+  std::vector<std::string> tokens = {
+      "0", "007", "+5", "+", "++5", "+-5", "-5", "-0", "-", "5x",
+      "0x1F", "1e3", "1.5", "inf", "nan", "", "  42  ", "1 2", "+007"};
+  const std::string max = std::to_string(std::numeric_limits<T>::max());
+  const std::string min = std::to_string(std::numeric_limits<T>::min());
+  tokens.push_back(max);
+  tokens.push_back(pastLimit(max));
+  tokens.push_back(min);
+  tokens.push_back(std::is_signed_v<T> ? pastLimit(min) : "-1");
+  tokens.push_back("+" + max);
+  for (const std::string& tok : tokens) {
+    const std::string got = outcomeOf<T>(tok, [](std::istream& in) {
+      return wire::nextNumber<T>(in, "ctx", "the field");
+    });
+    const std::string want = outcomeOf<T>(tok, [](std::istream& in) {
+      return streamNextNumber<T>(in, "ctx", "the field");
+    });
+    EXPECT_EQ(got, want) << "token '" << tok << "'";
+  }
+}
+
+TEST(Wire, NextNumberMatchesStreamExtraction) {
+  ASSERT_EQ(pastLimit("127"), "128");
+  ASSERT_EQ(pastLimit("-128"), "-129");
+  ASSERT_EQ(pastLimit("99"), "100");
+  ASSERT_EQ(pastLimit("-99"), "-100");
+  expectSameAsStreamExtraction<int>();
+  expectSameAsStreamExtraction<std::int64_t>();
+  expectSameAsStreamExtraction<std::uint64_t>();
+  expectSameAsStreamExtraction<std::size_t>();
 }
 
 }  // namespace

@@ -4,11 +4,15 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <map>
+#include <memory>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -656,6 +660,221 @@ TEST(ExperimentEngine, WorkerExceptionsPropagateToCaller) {
     EXPECT_THROW(engine.computeMatrix(model, prog, inputs),
                  std::runtime_error);
   }
+}
+
+/// A one-state model whose every cell takes `cycles`: the value tells
+/// which factory made it.
+class ConstModel final : public TimingModel {
+ public:
+  explicit ConstModel(Cycles cycles) : cycles_(cycles) {}
+  std::string name() const override { return "const"; }
+  std::size_t numStates() const override { return 1; }
+  Cycles time(std::size_t, const isa::Trace&) const override {
+    return cycles_;
+  }
+  Cycles cycles() const { return cycles_; }
+
+ private:
+  Cycles cycles_;
+};
+
+/// A platform whose factory counts its calls in `makes`.
+Platform countingPlatform(std::string name, Cycles cycles,
+                          std::atomic<int>* makes) {
+  return Platform{std::move(name), "counts its makes",
+                  [cycles, makes](const isa::Program&,
+                                  const PlatformOptions&) {
+                    ++*makes;
+                    return std::make_unique<ConstModel>(cycles);
+                  }};
+}
+
+Cycles cyclesOf(const std::shared_ptr<const TimingModel>& model) {
+  return dynamic_cast<const ConstModel&>(*model).cycles();
+}
+
+TEST(ExperimentEngine, ModelCacheKeyIsExact) {
+  std::atomic<int> makes{0};
+  PlatformRegistry registry;
+  registry.add(countingPlatform("custom", 7, &makes));
+  registry.add(countingPlatform("custom-2", 7, &makes));
+  const auto prog = testProgram();
+  ExperimentEngine engine(EngineConfig{1});
+
+  // Equal options hit and share the one model; so do the platform name and
+  // the program (layout included) — changing either misses.
+  const auto first = engine.model(registry, "custom", prog, {});
+  EXPECT_EQ(engine.model(registry, "custom", prog, PlatformOptions{}),
+            first);
+  EXPECT_EQ(makes, 1);
+  EXPECT_NE(engine.model(registry, "custom-2", prog, {}), first);
+  isa::Program relaid = prog;
+  relaid.layout.heapBase = 64;
+  EXPECT_NE(engine.model(registry, "custom", relaid, {}), first);
+  EXPECT_EQ(makes, 3);
+  EXPECT_EQ(engine.report().counter("engine.model_cache.misses"), 3u);
+  EXPECT_EQ(engine.report().counter("engine.model_cache.hits"), 1u);
+
+  // Two registries binding one name to different factories never share a
+  // model on one engine: the registry's id is part of the key.
+  std::atomic<int> otherMakes{0};
+  PlatformRegistry other;
+  other.add(countingPlatform("custom", 9, &otherMakes));
+  EXPECT_EQ(cyclesOf(engine.model(registry, "custom", prog, {})), 7u);
+  EXPECT_EQ(cyclesOf(engine.model(other, "custom", prog, {})), 9u);
+  EXPECT_EQ(otherMakes, 1);
+  EXPECT_EQ(cyclesOf(engine.model(registry, "custom", prog, {})), 7u);
+  EXPECT_EQ(cyclesOf(engine.model(other, "custom", prog, {})), 9u);
+  EXPECT_EQ(otherMakes, 1);
+  EXPECT_EQ(makes, 3);
+
+  // Every PlatformOptions field is part of the key: changing any one
+  // misses (and makes), and looking the changed options up again hits.
+  using Mutation = std::function<void(PlatformOptions&)>;
+  const std::vector<std::pair<std::string, Mutation>> fields = {
+      {"numStates", [](PlatformOptions& o) { ++o.numStates; }},
+      {"seed", [](PlatformOptions& o) { ++o.seed; }},
+      {"warmAddrSpace", [](PlatformOptions& o) { o.warmAddrSpace = 64; }},
+      {"dataGeom.lineWords",
+       [](PlatformOptions& o) { ++o.dataGeom.lineWords; }},
+      {"dataGeom.numSets", [](PlatformOptions& o) { ++o.dataGeom.numSets; }},
+      {"dataGeom.ways", [](PlatformOptions& o) { ++o.dataGeom.ways; }},
+      {"dataTiming.hitLatency",
+       [](PlatformOptions& o) { ++o.dataTiming.hitLatency; }},
+      {"dataTiming.missLatency",
+       [](PlatformOptions& o) { ++o.dataTiming.missLatency; }},
+      {"instrGeom.lineWords",
+       [](PlatformOptions& o) { ++o.instrGeom.lineWords; }},
+      {"instrGeom.numSets", [](PlatformOptions& o) { ++o.instrGeom.numSets; }},
+      {"instrGeom.ways", [](PlatformOptions& o) { ++o.instrGeom.ways; }},
+      {"instrTiming.hitLatency",
+       [](PlatformOptions& o) { ++o.instrTiming.hitLatency; }},
+      {"instrTiming.missLatency",
+       [](PlatformOptions& o) { ++o.instrTiming.missLatency; }},
+      {"inorder.aluLatency",
+       [](PlatformOptions& o) { ++o.inorder.aluLatency; }},
+      {"inorder.mulLatency",
+       [](PlatformOptions& o) { ++o.inorder.mulLatency; }},
+      {"inorder.constantDiv",
+       [](PlatformOptions& o) { o.inorder.constantDiv ^= true; }},
+      {"inorder.controlLatency",
+       [](PlatformOptions& o) { ++o.inorder.controlLatency; }},
+      {"inorder.takenPenalty",
+       [](PlatformOptions& o) { ++o.inorder.takenPenalty; }},
+      {"inorder.mispredictPenalty",
+       [](PlatformOptions& o) { ++o.inorder.mispredictPenalty; }},
+      {"ooo.aluLatency", [](PlatformOptions& o) { ++o.ooo.aluLatency; }},
+      {"ooo.mulLatency", [](PlatformOptions& o) { ++o.ooo.mulLatency; }},
+      {"ooo.constantDiv",
+       [](PlatformOptions& o) { o.ooo.constantDiv ^= true; }},
+      {"ooo.controlLatency",
+       [](PlatformOptions& o) { ++o.ooo.controlLatency; }},
+      {"ooo.takenRedirect", [](PlatformOptions& o) { ++o.ooo.takenRedirect; }},
+      {"ooo.dispatchWidth", [](PlatformOptions& o) { ++o.ooo.dispatchWidth; }},
+      {"pret.numThreads", [](PlatformOptions& o) { ++o.pret.numThreads; }},
+      {"smt.policy",
+       [](PlatformOptions& o) {
+         o.smt.policy = o.smt.policy == pipeline::SmtPolicy::RoundRobin
+                            ? pipeline::SmtPolicy::RtPriority
+                            : pipeline::SmtPolicy::RoundRobin;
+       }},
+      {"smt.aluLatency", [](PlatformOptions& o) { ++o.smt.aluLatency; }},
+      {"smt.mulLatency", [](PlatformOptions& o) { ++o.smt.mulLatency; }},
+      {"smt.memLatency", [](PlatformOptions& o) { ++o.smt.memLatency; }},
+      {"smt.controlLatency",
+       [](PlatformOptions& o) { ++o.smt.controlLatency; }},
+      {"smt.constantDiv",
+       [](PlatformOptions& o) { o.smt.constantDiv ^= true; }},
+      {"scratchpadLatency", [](PlatformOptions& o) { ++o.scratchpadLatency; }},
+  };
+  for (const auto& [field, mutate] : fields) {
+    PlatformOptions changed;
+    mutate(changed);
+    // A fresh engine per field, holding only the default-options model, so
+    // a key that drops `field` is bound to find it.
+    ExperimentEngine one(EngineConfig{1});
+    const auto base = one.model(registry, "custom", prog, {});
+    const int before = makes;
+    const auto made = one.model(registry, "custom", prog, changed);
+    EXPECT_EQ(makes, before + 1) << field << " is not part of the key";
+    EXPECT_NE(made, base) << field;
+    EXPECT_EQ(one.model(registry, "custom", prog, changed), made) << field;
+    EXPECT_EQ(makes, before + 1) << field;
+    EXPECT_EQ(one.report().counter("engine.model_cache.misses"), 2u) << field;
+    EXPECT_EQ(one.report().counter("engine.model_cache.hits"), 1u) << field;
+  }
+}
+
+TEST(ExperimentEngine, ModelCacheEvictsTheLeastRecentlyUsed) {
+  std::atomic<int> makes{0};
+  PlatformRegistry registry;
+  registry.add(countingPlatform("custom", 7, &makes));
+  const auto prog = testProgram();
+  ExperimentEngine engine(EngineConfig{1});
+  const auto withSeed = [&](std::uint64_t seed) {
+    PlatformOptions o;
+    o.seed = seed;
+    return engine.model(registry, "custom", prog, o);
+  };
+  ASSERT_EQ(ExperimentEngine::kModelCacheCapacity, 16u);
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) withSeed(seed);
+  EXPECT_EQ(makes, 16);
+  withSeed(1);  // a hit, and now the most recently used
+  EXPECT_EQ(makes, 16);
+
+  // The 17th distinct model evicts the least recently used one (seed 2),
+  // but a caller still holding it keeps it alive.
+  auto held = withSeed(2);
+  for (std::uint64_t seed = 3; seed <= 16; ++seed) withSeed(seed);
+  withSeed(1);
+  EXPECT_EQ(makes, 16);
+  const std::weak_ptr<const TimingModel> watch = held;
+  withSeed(17);
+  EXPECT_EQ(makes, 17);
+  EXPECT_FALSE(watch.expired());
+  EXPECT_EQ(held->numStates(), 1u);
+  held.reset();
+  EXPECT_TRUE(watch.expired());
+  withSeed(1);
+  EXPECT_EQ(makes, 17);
+  withSeed(2);
+  EXPECT_EQ(makes, 18);
+  EXPECT_EQ(engine.report().counter("engine.model_cache.misses"), 18u);
+  EXPECT_EQ(engine.report().counter("engine.model_cache.hits"), 18u);
+}
+
+TEST(ExperimentEngine, ConcurrentModelLookupsMakeEachModelOnce) {
+  std::atomic<int> makes{0};
+  PlatformRegistry registry;
+  registry.add(countingPlatform("custom", 7, &makes));
+  const auto prog = testProgram();
+  ExperimentEngine engine(EngineConfig{1});
+  constexpr int kThreads = 4;
+  constexpr int kLookups = 200;
+  constexpr int kKeys = 4;
+  std::vector<std::vector<const TimingModel*>> seen(
+      kThreads, std::vector<const TimingModel*>(kKeys, nullptr));
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int j = 0; j < kLookups; ++j) {
+        PlatformOptions o;
+        o.seed = static_cast<std::uint64_t>((j + t) % kKeys);
+        const auto m = engine.model(registry, "custom", prog, o);
+        auto& slot = seen[t][static_cast<std::size_t>(o.seed)];
+        if (slot == nullptr) slot = m.get();
+        EXPECT_EQ(slot, m.get());
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(makes, kKeys);
+  const obs::RunReport r = engine.report();
+  EXPECT_EQ(r.counter("engine.model_cache.misses"),
+            static_cast<std::uint64_t>(kKeys));
+  EXPECT_EQ(r.counter("engine.model_cache.hits"),
+            static_cast<std::uint64_t>(kThreads * kLookups - kKeys));
+  for (int t = 1; t < kThreads; ++t) EXPECT_EQ(seen[t], seen[0]);
 }
 
 TEST(ExperimentEngine, EmptyAxesYieldEmptyMatrix) {

@@ -548,6 +548,162 @@ TEST(GridCache, ZeroEntriesDisablesCachingEntirely) {
   EXPECT_EQ(cache.misses(), 1u);
 }
 
+// --------------------------------------------------------- grid evaluator
+
+/// What a worker with nothing resident computes for `spec`: a fresh
+/// engine's evaluateShard.
+std::string freshBytes(const study::WorkloadRegistry& workloads,
+                       const exp::PlatformRegistry& platforms,
+                       const ShardSpec& spec) {
+  const auto w = workloads.make(spec.workload);
+  return exp::evaluateShard(spec, w.program, w.inputs, platforms)
+      .serialize();
+}
+
+/// Whether an evaluator call built its grid — made the model and resolved
+/// traces — instead of finding it resident.
+bool rebuilt(const grid::ShardOutput& out) {
+  return out.report.counter("engine.model_cache.misses") == 1 &&
+         out.report.counter("engine.model_cache.hits") == 0 &&
+         out.report.counter("trace_store.misses") > 0;
+}
+
+ShardSpec shardOf(const std::string& workload, const std::string& platform,
+                  const exp::PlatformOptions& options, std::size_t qBegin,
+                  std::size_t qEnd, std::size_t iBegin, std::size_t iEnd) {
+  ShardSpec s;
+  s.workload = workload;
+  s.platform = platform;
+  s.options = options;
+  s.qBegin = qBegin;
+  s.qEnd = qEnd;
+  s.iBegin = iBegin;
+  s.iEnd = iEnd;
+  s.engine.threads = 1;
+  return s;
+}
+
+TEST(GridEvaluator, ResidentGridMatchesFreshEvaluators) {
+  study::WorkloadRegistry workloads;
+  const exp::PlatformRegistry& platforms = exp::PlatformRegistry::instance();
+  // A' is A's program under another MemoryLayout, by another name: the
+  // layout-collision case of the trace store, one level up.
+  const std::string a = "linearsearch-16x64";
+  const std::string aRelaid = "linearsearch-16x64-relaid";
+  {
+    study::WorkloadInstance w = workloads.make(a);
+    w.program.layout.memWords = 256;
+    workloads.add({aRelaid, "linearsearch-16x64 under another layout",
+                   [w] { return w; }});
+  }
+  exp::PlatformOptions options;
+  options.numStates = 16;
+  exp::PlatformOptions otherOptions = options;
+  otherOptions.seed = 2;
+
+  const auto eval = study::gridShardEvaluator(workloads, platforms);
+  struct Step {
+    ShardSpec spec;
+    bool resident;  ///< expected to find its grid resident
+  };
+  const std::vector<Step> steps = {
+      {shardOf(a, "inorder-lru", options, 0, 8, 0, 64), false},
+      {shardOf(a, "inorder-lru", options, 8, 16, 0, 64), true},
+      {shardOf("bubblesort-8", "inorder-lru", options, 0, 16, 0, 12), false},
+      {shardOf(aRelaid, "inorder-lru", options, 0, 16, 0, 64), false},
+      {shardOf(a, "inorder-lru", options, 0, 16, 16, 48), false},
+      {shardOf(a, "inorder-lru", otherOptions, 0, 16, 0, 64), false},
+      {shardOf(a, "inorder-lru", otherOptions, 4, 12, 8, 40), true},
+      {shardOf(a, "inorder-lru", options, 0, 16, 0, 64), false},
+  };
+  for (std::size_t k = 0; k < steps.size(); ++k) {
+    const Step& step = steps[k];
+    const std::string label = "step " + std::to_string(k) + " " +
+                              step.spec.workload + " " +
+                              exp::shardLabel(step.spec);
+    const grid::ShardOutput out = eval(step.spec);
+    EXPECT_EQ(out.accumulator.serialize(),
+              freshBytes(workloads, platforms, step.spec))
+        << label;
+    if (step.resident) {
+      EXPECT_EQ(out.report.counter("trace_store.misses"), 0u) << label;
+      EXPECT_EQ(out.report.counter("engine.model_cache.hits"), 1u) << label;
+      EXPECT_EQ(out.report.counter("engine.model_cache.misses"), 0u)
+          << label;
+    } else {
+      EXPECT_TRUE(rebuilt(out)) << label;
+    }
+  }
+  // A' is a different grid, not a relabeled A.
+  EXPECT_NE(freshBytes(workloads, platforms, steps[3].spec),
+            freshBytes(workloads, platforms,
+                       shardOf(a, "inorder-lru", options, 0, 16, 0, 64)));
+
+  // A throwing shard leaves no grid behind: a q range past |Q| on the
+  // resident grid's key, then an unknown workload.
+  EXPECT_THROW(eval(shardOf(a, "inorder-lru", options, 8, 17, 0, 64)),
+               std::invalid_argument);
+  const ShardSpec again = shardOf(a, "inorder-lru", options, 8, 16, 0, 64);
+  grid::ShardOutput out = eval(again);
+  EXPECT_EQ(out.accumulator.serialize(),
+            freshBytes(workloads, platforms, again));
+  EXPECT_TRUE(rebuilt(out));
+  EXPECT_THROW(eval(shardOf("no-such-workload", "inorder-lru", options, 0,
+                            16, 0, 64)),
+               std::invalid_argument);
+  out = eval(again);
+  EXPECT_EQ(out.accumulator.serialize(),
+            freshBytes(workloads, platforms, again));
+  EXPECT_TRUE(rebuilt(out));
+}
+
+TEST(GridEvaluator, EvaluatorsOverDifferentRegistriesNeverShareAGrid) {
+  // Both platform registries bind "custom" and both workload registries
+  // bind "custom-w", each to a different factory.  Evaluators over each
+  // pairing, called alternately on one thread, must each rebuild — a
+  // resident key without either registry's id shares a grid here.
+  const auto& builtInPlatforms = exp::PlatformRegistry::instance();
+  const auto& builtInWorkloads = study::WorkloadRegistry::instance();
+  exp::PlatformRegistry lru;
+  exp::PlatformRegistry icache;
+  lru.add(
+      {"custom", "inorder-lru", builtInPlatforms.find("inorder-lru")->make});
+  icache.add({"custom", "inorder-lru-icache",
+              builtInPlatforms.find("inorder-lru-icache")->make});
+  study::WorkloadRegistry sorting;
+  study::WorkloadRegistry searching;
+  sorting.add({"custom-w", "bubblesort-8",
+               builtInWorkloads.find("bubblesort-8")->make});
+  searching.add({"custom-w", "linearsearch-16x64",
+                 builtInWorkloads.find("linearsearch-16x64")->make});
+
+  struct Side {
+    const study::WorkloadRegistry* workloads;
+    const exp::PlatformRegistry* platforms;
+    grid::ShardEvalFn eval;
+  };
+  const std::vector<Side> sides = {
+      {&sorting, &lru, study::gridShardEvaluator(sorting, lru)},
+      {&sorting, &icache, study::gridShardEvaluator(sorting, icache)},
+      {&searching, &lru, study::gridShardEvaluator(searching, lru)},
+  };
+  exp::PlatformOptions options;
+  options.numStates = 8;
+  const ShardSpec spec = shardOf("custom-w", "custom", options, 0, 8, 0, 12);
+  std::vector<std::string> want;
+  for (const Side& side : sides) {
+    want.push_back(freshBytes(*side.workloads, *side.platforms, spec));
+  }
+  ASSERT_NE(want[0], want[1]);
+  ASSERT_NE(want[0], want[2]);
+
+  for (const std::size_t k : {0, 1, 0, 2, 0, 1, 2}) {
+    const grid::ShardOutput out = sides[k].eval(spec);
+    EXPECT_EQ(out.accumulator.serialize(), want[k]) << "side " << k;
+    EXPECT_TRUE(rebuilt(out)) << "side " << k;
+  }
+}
+
 // -------------------------------------------------------------- scheduler
 
 TEST(GridScheduler, MatchesSingleProcessBytesAtEveryWorkerCount) {

@@ -20,6 +20,7 @@
 #include "obs/metrics.h"
 #include "obs/run_report.h"
 #include "obs/span.h"
+#include "study/distributed.h"
 #include "study/query.h"
 #include "study/workloads.h"
 
@@ -448,6 +449,53 @@ TEST(EngineReport, EvaluateShardFillsTheSelfReport) {
   // The accumulator is bit-identical with and without telemetry.
   const auto plain = exp::evaluateShard(spec, w.program, w.inputs);
   EXPECT_EQ(plain.serialize(), acc.serialize());
+  // The fresh engine made its model, inside the report's wall time.
+  EXPECT_EQ(report.counter("engine.model_cache.misses"), 1u);
+  if (obs::compiledIn()) {
+    ASSERT_EQ(report.phases.count("model.make"), 1u);
+    EXPECT_EQ(report.phases.at("model.make").count, 1u);
+    EXPECT_LE(report.phases.at("model.make").totalNs, report.wallNs);
+  }
+
+  // Two shards of one grid on one thread through the grid evaluator: the
+  // cold one materializes the workload and makes the model, each phase
+  // once and inside its wall time; the resident one builds neither.
+  const auto eval = study::gridShardEvaluator();
+  spec.options.seed = 4242;  // a grid no earlier test left resident here
+  spec.qBegin = 0;
+  spec.qEnd = 4;
+  const grid::ShardOutput cold = eval(spec);
+  spec.qBegin = 4;
+  spec.qEnd = 8;
+  const grid::ShardOutput warm = eval(spec);
+
+  EXPECT_EQ(cold.report.counter("engine.model_cache.misses"), 1u);
+  EXPECT_GT(cold.report.counter("trace_store.misses"), 0u);
+  EXPECT_EQ(cold.report.counter("trace_store.misses") +
+                cold.report.counter("trace_store.hits"),
+            12u);
+  EXPECT_EQ(warm.report.counter("engine.model_cache.hits"), 1u);
+  EXPECT_EQ(warm.report.counter("engine.model_cache.misses"), 0u);
+  EXPECT_EQ(warm.report.counter("trace_store.misses"), 0u);
+  EXPECT_EQ(warm.report.shards.at(0).traceMisses, 0u);
+  EXPECT_EQ(warm.report.shards.at(0).traceHits, 12u);
+  for (const auto* r : {&cold.report, &warm.report}) {
+    ASSERT_EQ(r->shards.size(), 1u);
+    EXPECT_EQ(r->shards[0].wallNs, r->wallNs);
+  }
+  EXPECT_EQ(warm.report.phases.count("model.make"), 0u);
+  EXPECT_EQ(warm.report.phases.count("setup.workload"), 0u);
+  if (obs::compiledIn()) {
+    std::uint64_t construction = 0;
+    for (const char* phase : {"model.make", "setup.workload"}) {
+      ASSERT_EQ(cold.report.phases.count(phase), 1u) << phase;
+      EXPECT_EQ(cold.report.phases.at(phase).count, 1u) << phase;
+      construction += cold.report.phases.at(phase).totalNs;
+    }
+    // The wall covers the whole call, construction included.
+    EXPECT_GE(cold.report.wallNs, construction);
+  }
+  EXPECT_NO_THROW(obs::RunReport::deserialize(cold.report.serialize()));
 }
 
 }  // namespace

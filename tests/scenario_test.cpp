@@ -248,9 +248,25 @@ TEST(ScenarioSuite, BatchedRunIssuesASingleGridWalk) {
 TEST(ScenarioSuite, BatchedRunSharesTracesLikeTheSequentialPath) {
   const auto suite = smallSuite();  // 2 workloads (4+1 inputs) x 3 platforms
   exp::ExperimentEngine engine;
-  suite.run(engine);
+  const auto first = suite.run(engine);
   EXPECT_EQ(engine.traceStore().misses(), 5u);
   EXPECT_EQ(engine.traceStore().hits(), 10u);
+  const obs::RunReport afterFirst = engine.report();
+  EXPECT_EQ(afterFirst.counter("engine.model_cache.misses"),
+            suite.numScenarios());
+  EXPECT_EQ(afterFirst.counter("engine.model_cache.hits"), 0u);
+
+  // A second run on the same engine makes no model and resolves no trace:
+  // one model-cache hit per grid, and the same findings.
+  const auto second = suite.run(engine);
+  const obs::RunReport delta = engine.report().deltaSince(afterFirst);
+  EXPECT_EQ(delta.counter("engine.model_cache.hits"), suite.numScenarios());
+  EXPECT_EQ(delta.counter("engine.model_cache.misses"), 0u);
+  EXPECT_EQ(delta.counter("trace_store.misses"), 0u);
+  ASSERT_EQ(second.size(), first.size());
+  for (std::size_t k = 0; k < first.size(); ++k) {
+    expectSameFinding(second[k], first[k]);
+  }
 }
 
 TEST(ScenarioSuite, KeepMatricesTakesThePerQueryPathWithSameResults) {

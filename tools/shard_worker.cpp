@@ -20,8 +20,10 @@
 //           or sends Shutdown.  "attach tcp:HOST:PORT" (or unix:PATH)
 //           DIALS a running pred-grid-server; "attach -" serves the
 //           socket on stdin, which is how pred-grid-server runs its fixed
-//           worker slots.  The same evaluation as run/single, so worker
-//           results are byte-identical to both; --exit-after N injects a
+//           worker slots.  run and attach share one evaluator
+//           (study::gridShardEvaluator, which keeps each evaluating
+//           thread's last grid resident), so worker results are
+//           byte-identical to run and single; --exit-after N injects a
 //           deterministic mid-shard death for fault-tolerance smokes
 //
 // Determinism contract: merge(run(shard_1), ..., run(shard_K)) is
@@ -46,6 +48,7 @@
 #include "exp/shard.h"
 #include "grid/attach_worker.h"
 #include "obs/run_report.h"
+#include "study/distributed.h"
 #include "study/workloads.h"
 
 namespace {
@@ -237,17 +240,13 @@ int cmdRun(const std::vector<std::string>& args) {
     }
   }
   const auto spec = exp::parseShardSpec(readSpecInput(specPath));
-  const auto w = study::WorkloadRegistry::instance().make(spec.workload);
-  obs::RunReport report;
-  const auto acc = exp::evaluateShard(
-      spec, w.program, w.inputs, exp::PlatformRegistry::instance(),
-      reportPath.empty() ? nullptr : &report);
+  const grid::ShardOutput out = study::gridShardEvaluator()(spec);
   // Accumulator first: the smoke's byte-identity diff must not depend on
   // whether telemetry was requested.
-  writeOutput(outPath, acc.serialize());
+  writeOutput(outPath, out.accumulator.serialize());
   if (!reportPath.empty()) {
     std::ofstream f(reportPath);
-    if (!(f << report.serialize()) || !(f.flush())) {
+    if (!(f << out.report.serialize()) || !(f.flush())) {
       throw std::runtime_error("cannot write report file: " + reportPath);
     }
   }
@@ -332,15 +331,10 @@ int cmdAttach(const std::vector<std::string>& args) {
       throw std::invalid_argument("unknown flag: " + args[k]);
     }
   }
-  // The same evaluation `run` performs — byte-identity across modes
-  // hinges on workers computing shards EXACTLY the same way.
-  const grid::ShardEvalFn eval = [](const exp::ShardSpec& spec) {
-    const auto w = study::WorkloadRegistry::instance().make(spec.workload);
-    obs::RunReport report;
-    auto acc = exp::evaluateShard(spec, w.program, w.inputs,
-                                  exp::PlatformRegistry::instance(), &report);
-    return grid::ShardOutput{std::move(acc), std::move(report)};
-  };
+  // The evaluator `run` uses — byte-identity across modes hinges on
+  // workers computing shards EXACTLY the same way.  Each evaluating thread
+  // keeps its last grid resident.
+  const grid::ShardEvalFn eval = study::gridShardEvaluator();
   if (endpoint == "-")
     return grid::runAttachWorker(grid::net::Fd(STDIN_FILENO), eval, options);
   return grid::runAttachWorker(endpoint, eval, options);
