@@ -10,15 +10,17 @@
 // making the per-cell loop allocation-free.  The header section verifies
 // the acceptance properties (parallel == serial, packed == interpreted,
 // bit-identical) and times a 64 x 64 exhaustive grid through all three
-// paths — plus the grid scheduler, attached workers, trace-class collapse
-// and a cold trace-store resolve — emitting the machine-readable
-// BENCH_exhaustive.json artifact ($BENCH_JSON overrides the output path)
-// that scripts/bench_run.sh and the CI perf-smoke job consume.
+// paths — plus the grid scheduler, attached workers, trace-class collapse,
+// a cold trace-store resolve and the state-axis collapse — emitting the
+// machine-readable BENCH_exhaustive.json artifact ($BENCH_JSON overrides
+// the output path) that scripts/bench_run.sh and the CI perf-smoke job
+// consume.
 
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench_common.h"
@@ -290,6 +292,84 @@ std::string collapseGrid(bool* identical, int reps) {
   return obj.str();
 }
 
+/// State-axis collapse: bubblesort-8 over 64 seeded arrays — the shape of
+/// the warm scenario sweep's grids (the registry's bubblesort-8 has only 12
+/// inputs) — at 256 states on inorder-lru (default 8 x 2 cache) and
+/// ooo-fifo (64 x 4), streamed through reduceCells on a warm store.  Per
+/// grid it records ns per grid cell (best of `reps`) and the model
+/// evaluations one sweep runs (engine.cells_replayed), which
+/// bench_run.sh --smoke gates as a count: without the state collapse every
+/// (state, trace class) cell replays.  Each grid's accumulator is asserted
+/// identical to the uncollapsed walk's.
+std::string statesGrid(bool* identical, int reps) {
+  constexpr int kStates = 256;
+  constexpr int kInputs = 64;
+  bench::printHeader("State-axis collapse",
+                     "bubblesort-8 x 64 arrays at 256 states, warm store");
+  const auto prog = isa::ast::compileBranchy(isa::workloads::bubbleSort(8));
+  const auto inputs =
+      isa::workloads::randomArrayInputs(prog, "a", 8, kInputs, 2024, 24);
+  const double cells = static_cast<double>(kStates) * kInputs;
+  bool allIdentical = true;
+  bench::JsonObject grids;
+  const std::pair<const char*, cache::CacheGeometry> platforms[] = {
+      {"inorder-lru", exp::PlatformOptions{}.dataGeom},
+      {"ooo-fifo", cache::CacheGeometry{4, 64, 4}}};
+  for (const auto& [platform, geom] : platforms) {
+    exp::PlatformOptions opts;
+    opts.numStates = kStates;
+    opts.dataGeom = geom;
+    const auto model =
+        exp::PlatformRegistry::instance().make(platform, prog, opts);
+    exp::EngineConfig offCfg;
+    offCfg.collapseTraceClasses = false;
+    exp::ExperimentEngine off(offCfg);
+    exp::ExperimentEngine on;
+    const auto accOff = off.reduceCells(*model, prog, inputs);
+    const auto before = on.report();
+    const auto accOn = on.reduceCells(*model, prog, inputs);
+    const auto sweep = on.report().deltaSince(before);
+    const bool same = accOn.identicalTo(accOff);
+    allIdentical = allIdentical && same;
+    const double ns = bestOfNs(reps, [&] {
+                        benchmark::DoNotOptimize(
+                            on.reduceCells(*model, prog, inputs).wcet());
+                      }) /
+                      cells;
+    const std::uint64_t replayed = sweep.counter("engine.cells_replayed");
+    const std::uint64_t walked = sweep.counter("engine.cells");
+    char buf[64];
+    std::snprintf(buf, sizeof buf, "%.1f", ns);
+    bench::printKV(std::string(platform) + " ns per grid cell", buf);
+    bench::printKV(std::string(platform) + " cells replayed / walked",
+                   std::to_string(replayed) + " / " + std::to_string(walked));
+    bench::printKV(std::string(platform) + " collapsed == uncollapsed",
+                   same ? "yes" : "NO (BUG)");
+    bench::JsonObject dataGeom;
+    dataGeom.field("line_words", static_cast<int>(geom.lineWords))
+        .field("sets", static_cast<int>(geom.numSets))
+        .field("ways", geom.ways);
+    bench::JsonObject grid;
+    grid.rawField("data_geom", dataGeom.str())
+        .rawField("bit_identical", same ? "true" : "false")
+        .field("trace_classes", sweep.counter("engine.trace_classes"))
+        .field("cells_walked", walked)
+        .field("state_groups", sweep.counter("engine.state_groups"))
+        .field("cells_replayed", replayed)
+        .field("ns_per_cell", ns);
+    grids.rawField(platform, grid.str());
+  }
+  *identical = allIdentical;
+  bench::JsonObject shape;
+  shape.field("states", kStates).field("inputs", kInputs);
+  bench::JsonObject obj;
+  obj.field("workload", std::string("bubblesort-8"))
+      .rawField("grid", shape.str())
+      .rawField("bit_identical", allIdentical ? "true" : "false")
+      .rawField("grids", grids.str());
+  return obj.str();
+}
+
 /// Cold resolve: what a trace-store miss costs end to end — functional run,
 /// trace fingerprint, store key, class assignment and Streams lowering —
 /// for the 64 inputs of the registry's linearsearch-16x64 workload, on a
@@ -525,6 +605,8 @@ void perfGrid(const char* argv0) {
   bool collapseIdentical = false;
   const std::string collapse = collapseGrid(&collapseIdentical, reps);
   const std::string resolve = resolveGrid(reps);
+  bool statesIdentical = false;
+  const std::string states = statesGrid(&statesIdentical, reps);
 
   // Default the artifact NEXT TO THE BINARY (the build directory), not the
   // cwd: smoke runs launched from the repo root used to litter it with
@@ -549,14 +631,16 @@ void perfGrid(const char* argv0) {
       .rawField("metrics_enabled", obs::compiledIn() ? "true" : "false")
       .rawField("bit_identical",
                 inorder.identical && ooo.identical && shardedIdentical &&
-                        attachedIdentical && collapseIdentical
+                        attachedIdentical && collapseIdentical &&
+                        statesIdentical
                     ? "true"
                     : "false")
       .rawField("grids", grids.str())
       .rawField("sharded", sharded)
       .rawField("attached", attached)
       .rawField("collapse", collapse)
-      .rawField("resolve", resolve);
+      .rawField("resolve", resolve)
+      .rawField("states", states);
   if (bench::writeTextFile(path, root.str())) {
     bench::printKV("json artifact", path);
   }

@@ -40,7 +40,14 @@
 #             * the cold-resolve section (a fresh TraceStore resolving the
 #               64 linearsearch-16x64 inputs in the Streams form, best of
 #               5) is missing or its us/input exceeds PERF_SMOKE_FACTOR x
-#               resolve.us_per_input.
+#               resolve.us_per_input, or
+#             * the state-collapse section (bubblesort-8 x 64 arrays at 256
+#               states on inorder-lru and ooo-fifo, warm store) is missing,
+#               not bit-identical to the uncollapsed walk, replays more
+#               cells than state_collapse.grids.*.cells_replayed (a count,
+#               so no factor applies; without the state collapse every
+#               (state, trace class) cell replays), or exceeds
+#               PERF_SMOKE_FACTOR x that grid's ns_per_cell.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -208,6 +215,37 @@ else:
     if us > limit:
         print("FAIL: cold resolve regressed past the baseline limit")
         failed = True
+
+states = measured.get("states")
+if states is None:
+    print("FAIL: state-collapse section missing from the bench JSON")
+    failed = True
+else:
+    for name, base in baseline["state_collapse"]["grids"].items():
+        grid = states["grids"].get(name)
+        if grid is None:
+            print(f"FAIL: states: grid '{name}' missing from the bench JSON")
+            failed = True
+            continue
+        if not grid.get("bit_identical", False):
+            print(f"FAIL: states {name}: collapsed accumulator differs from "
+                  "the uncollapsed walk")
+            failed = True
+        replayed = grid["cells_replayed"]
+        print(f"states {name}: {replayed} of {grid['cells_walked']} cells "
+              f"replayed (limit {base['cells_replayed']})")
+        if replayed > base["cells_replayed"]:
+            print(f"FAIL: states {name}: more cells replayed than the "
+                  "baseline count; the state-axis collapse lost groups")
+            failed = True
+        ns = grid["ns_per_cell"]
+        limit = base["ns_per_cell"] * factor
+        print(f"states {name}: {ns:.1f} ns per grid cell (limit "
+              f"{limit:.1f} = {base['ns_per_cell']} baseline x {factor})")
+        if ns > limit:
+            print(f"FAIL: states {name}: ns per grid cell regressed past "
+                  "the baseline limit")
+            failed = True
 
 sys.exit(1 if failed else 0)
 PY

@@ -23,6 +23,27 @@
 // seeded RANDOM replacement stream.  PackedCacheSim reproduces
 // SetAssocCache::access hit-for-hit and latency-for-latency (asserted
 // across all policies in tests/replay_test.cpp).
+//
+// The projection (PackedCacheState::project) is the part of a snapshot a
+// trace can observe, for the engine's state-axis collapse (exp/engine.h).
+// A CacheFootprint lists the lines a trace's words map to, grouped by set,
+// mapped exactly as PackedCacheSim::access maps them.  The projection walks
+// the touched sets in ascending order and lists each set's ways in policy
+// order:
+//   LRU, full set    by recency rank (rank 0 first);
+//   FIFO, full set   from the next-victim pointer on;
+//   otherwise        by physical way (partly filled sets, PLRU, MRU),
+//                    followed by the set's metadata word.
+// A way is coded 0 when invalid, 1 when it holds a line outside the
+// footprint (the placeholder), and 2 + j when it holds the set's j-th
+// footprint line.  The placeholder must differ from an invalid way,
+// because fills prefer invalid ways; it can never hit, so renaming every
+// such line to it changes no access.  A full set codes no 0 in its ranked
+// list and a partly filled one codes at least one, so the codes decode
+// uniquely and two snapshots with equal projections (and equal geometry,
+// policy and timing) replay every trace of the footprint to the same hits,
+// misses and latencies.  RANDOM keeps its rng per cache, not per set, and
+// the rng is part of the state, so it has no projection (projectable).
 
 #include <bit>
 #include <cstdint>
@@ -52,6 +73,26 @@ inline bool packable(const CacheGeometry& g) {
   return g.ways > 0 && g.ways <= kMaxPackedWays;
 }
 
+/// True when a cache of this policy has a projection (see the file
+/// comment): every policy but RANDOM.
+inline bool projectable(Policy p) { return p != Policy::RANDOM; }
+
+/// The lines a trace's words map to in one cache geometry, grouped by set.
+/// Built once per trace, so projecting a state costs O(touched sets x
+/// ways) with no sort and no allocation.
+struct CacheFootprint {
+  std::vector<std::size_t> sets;      ///< touched sets, ascending
+  std::vector<std::size_t> setBegin;  ///< lines of sets[k]: [setBegin[k],
+                                      ///< setBegin[k + 1]); size sets + 1
+  std::vector<std::int64_t> lines;    ///< distinct, grouped by set
+
+  /// The footprint of `words` (any order, repeats allowed) under `g`.
+  /// Returns false, leaving the footprint unusable, when a word maps
+  /// outside [0, numSets) — PackedCacheSim::access divides a negative
+  /// address, and its set index can come out negative.
+  bool build(const CacheGeometry& g, std::vector<std::int64_t> words);
+};
+
 /// Immutable flat snapshot of one cache's complete state.
 struct PackedCacheState {
   CacheGeometry geometry{};
@@ -61,6 +102,11 @@ struct PackedCacheState {
   std::vector<std::int64_t> tags;    ///< numSets×ways, row-major by set
   std::vector<std::uint64_t> valid;  ///< per set, bit w = way w valid
   std::vector<std::uint64_t> meta;   ///< per set, layout per policy (above)
+
+  /// Appends this snapshot's projection onto `fp` (see the file comment)
+  /// to `key`.  `fp` must be built for this geometry and the policy must
+  /// be projectable.
+  void project(const CacheFootprint& fp, std::vector<std::int64_t>& key) const;
 };
 
 /// Mutable replay engine over packed snapshots.  One sim is meant to be

@@ -1,6 +1,7 @@
 #include "exp/engine.h"
 
 #include <algorithm>
+#include <bit>
 #include <iterator>
 #include <stdexcept>
 #include <string>
@@ -24,10 +25,13 @@ ExperimentEngine::ExperimentEngine(EngineConfig config) : config_(config) {
   cCells_ = &metrics_.counter("engine.cells");
   cTraceClasses_ = &metrics_.counter("engine.trace_classes");
   cCellsCollapsed_ = &metrics_.counter("engine.cells_collapsed");
+  cStateGroups_ = &metrics_.counter("engine.state_groups");
+  cCellsReplayed_ = &metrics_.counter("engine.cells_replayed");
   cModelHits_ = &metrics_.counter("engine.model_cache.hits");
   cModelMisses_ = &metrics_.counter("engine.model_cache.misses");
   pModelMake_ = &metrics_.phase("model.make");
   pResolve_ = &metrics_.phase("resolve");
+  pGroup_ = &metrics_.phase("group");
   pReplayPacked_ = &metrics_.phase("replay.packed");
   pReplayInterp_ = &metrics_.phase("replay.interpreted");
   pReplayBatched_ = &metrics_.phase("replay.batched");
@@ -80,6 +84,60 @@ int ExperimentEngine::resolvedThreads() const {
   return hw == 0 ? 1 : static_cast<int>(hw);
 }
 
+// The keys live in one flat thread-local buffer, reused across calls; a
+// linear-probing table over group ids buckets them by hash.
+std::uint32_t groupStates(const ObservableKey& key, std::size_t qBegin,
+                          std::size_t n, std::uint32_t* members,
+                          std::uint32_t* starts) {
+  thread_local std::vector<std::int64_t> keys;
+  thread_local std::vector<std::size_t> keyAt;   // per state, into keys
+  thread_local std::vector<std::uint32_t> slots;  // group + 1; 0 = empty
+  thread_local std::vector<std::uint32_t> groupOf;  // per state
+  thread_local std::vector<std::uint32_t> firstOf;  // per group
+  keys.clear();
+  keyAt.resize(n + 1);
+  for (std::size_t r = 0; r < n; ++r) {
+    keyAt[r] = keys.size();
+    key.append(qBegin + r, keys);
+  }
+  keyAt[n] = keys.size();
+  const auto same = [](std::size_t a, std::size_t b) {
+    return keyAt[a + 1] - keyAt[a] == keyAt[b + 1] - keyAt[b] &&
+           std::equal(keys.begin() + keyAt[a], keys.begin() + keyAt[a + 1],
+                      keys.begin() + keyAt[b]);
+  };
+  const std::size_t mask = std::bit_ceil(2 * n) - 1;
+  slots.assign(mask + 1, 0);
+  groupOf.resize(n);
+  firstOf.clear();
+  for (std::size_t r = 0; r < n; ++r) {
+    std::uint64_t h = 0x9E3779B97F4A7C15ull;
+    for (std::size_t j = keyAt[r]; j < keyAt[r + 1]; ++j) {
+      h = (h ^ static_cast<std::uint64_t>(keys[j])) * 0x100000001B3ull;
+    }
+    std::size_t slot = (h ^ (h >> 29)) & mask;
+    while (slots[slot] != 0 && !same(firstOf[slots[slot] - 1], r)) {
+      slot = (slot + 1) & mask;
+    }
+    if (slots[slot] == 0) {
+      firstOf.push_back(static_cast<std::uint32_t>(r));
+      slots[slot] = static_cast<std::uint32_t>(firstOf.size());
+    }
+    groupOf[r] = slots[slot] - 1;
+  }
+  // Counting sort by group: ascending states stay ascending per group.
+  const auto groups = static_cast<std::uint32_t>(firstOf.size());
+  std::fill(starts, starts + groups + 1, 0);
+  for (std::size_t r = 0; r < n; ++r) ++starts[groupOf[r] + 1];
+  for (std::uint32_t g = 0; g < groups; ++g) starts[g + 1] += starts[g];
+  std::fill(firstOf.begin(), firstOf.end(), 0);  // now a fill cursor
+  for (std::size_t r = 0; r < n; ++r) {
+    const std::uint32_t g = groupOf[r];
+    members[starts[g] + firstOf[g]++] = static_cast<std::uint32_t>(qBegin + r);
+  }
+  return groups;
+}
+
 std::vector<core::StreamingMeasures> ExperimentEngine::walk(
     const std::vector<Item>& items, bool batched, core::TimingMatrix* matrix) {
   const std::size_t n = items.size();
@@ -95,7 +153,19 @@ std::vector<core::StreamingMeasures> ExperimentEngine::walk(
     /// Walked columns: ascending GLOBAL input indices per column, columns
     /// ordered by first appearance.
     std::vector<std::vector<std::size_t>> cols;
-    std::size_t tilesI = 0;
+    /// The rows of each column: its state groups.  A column c with fewer
+    /// rows than states lists its groups' global state indices in
+    /// members[c * states, (c + 1) * states), group g at
+    /// [starts[c * (states + 1) + g], starts[c * (states + 1) + g + 1]) of
+    /// that slice.  Any other column has one implicit group per state and
+    /// uses no storage (a key that groups nothing yields exactly those);
+    /// members and starts stay empty for an item that cannot key.
+    std::size_t states = 0;
+    std::vector<std::uint32_t> rows;  ///< per column: its group count
+    std::vector<std::uint32_t> members;
+    std::vector<std::uint32_t> starts;
+    /// Tiles per chunk of tileInputs columns, as prefix offsets.
+    std::vector<std::size_t> chunkTiles;
   };
   std::vector<Prepared> prep(n);
   // Prefix offsets flatten the per-item work into single pool work lists;
@@ -143,7 +213,7 @@ std::vector<core::StreamingMeasures> ExperimentEngine::walk(
   // deterministic model, also for shard ranges that pick a different
   // in-range representative of the same global class.  Without, one per
   // input.
-  std::vector<std::size_t> tileOffset(n + 1, 0);
+  std::vector<std::pair<std::size_t, std::size_t>> keyWork;  // (item, col)
   for (std::size_t k = 0; k < n; ++k) {
     const Item& item = items[k];
     Prepared& p = prep[k];
@@ -159,11 +229,63 @@ std::vector<core::StreamingMeasures> ExperimentEngine::walk(
       cCellsCollapsed_->add((item.qEnd - item.qBegin) *
                             (p.refs.size() - p.cols.size()));
     }
-    const std::size_t tilesQ =
-        (item.qEnd - item.qBegin + config_.tileStates - 1) /
-        config_.tileStates;
-    p.tilesI = (p.cols.size() + config_.tileInputs - 1) / config_.tileInputs;
-    tileOffset[k + 1] = tileOffset[k] + tilesQ * p.tilesI;
+    p.states = item.qEnd - item.qBegin;
+    p.rows.assign(p.cols.size(), static_cast<std::uint32_t>(p.states));
+    // The state axis collapses with the input axis, on the packed path.
+    if (collapse && p.form != ReplayForm::None && p.states > 1) {
+      p.members.resize(p.cols.size() * p.states);
+      p.starts.resize(p.cols.size() * (p.states + 1));
+      for (std::size_t c = 0; c < p.cols.size(); ++c) keyWork.emplace_back(k, c);
+    }
+  }
+
+  // Grouping: one pool pass keys every state of each keyable column over
+  // its class's footprint (the key is made once per column) and groups the
+  // column's q-range by exact key.  A group replays its smallest member
+  // and fans the time out to every member, so values and smallest-index
+  // witnesses equal the one-row-per-state walk.  Shard ranges group within
+  // [qBegin, qEnd) and keep GLOBAL state indices, like the columns.
+  if (!keyWork.empty()) {
+    obs::Span span(pGroup_);
+    WorkerPool::shared().run(
+        keyWork.size(), resolvedThreads(),
+        [&](std::size_t j, int) {
+          const auto [k, c] = keyWork[j];
+          const Item& item = items[k];
+          Prepared& p = prep[k];
+          const auto key = item.grid.model->observableKey(
+              *p.refs[p.cols[c].front() - item.iBegin].compiled);
+          if (key == nullptr) return;
+          p.rows[c] = groupStates(*key, item.qBegin, p.states,
+                                  &p.members[c * p.states],
+                                  &p.starts[c * (p.states + 1)]);
+        },
+        &util_);
+  }
+
+  // Tiles: each chunk of tileInputs columns splits into row tiles of
+  // tileStates rows, as many as its longest column needs; without keyed
+  // columns these are plain tileStates x tileInputs rectangles.
+  std::vector<std::size_t> tileOffset(n + 1, 0);
+  for (std::size_t k = 0; k < n; ++k) {
+    Prepared& p = prep[k];
+    const std::size_t chunks =
+        (p.cols.size() + config_.tileInputs - 1) / config_.tileInputs;
+    p.chunkTiles.assign(chunks + 1, 0);
+    std::size_t groups = 0;
+    for (std::size_t j = 0; j < chunks; ++j) {
+      std::size_t longest = 0;
+      for (std::size_t c = j * config_.tileInputs;
+           c < std::min(p.cols.size(), (j + 1) * config_.tileInputs); ++c) {
+        longest = std::max<std::size_t>(longest, p.rows[c]);
+        groups += p.rows[c];
+      }
+      p.chunkTiles[j + 1] = p.chunkTiles[j] +
+                            (longest + config_.tileStates - 1) /
+                                config_.tileStates;
+    }
+    cStateGroups_->add(groups);
+    tileOffset[k + 1] = tileOffset[k] + p.chunkTiles.back();
   }
 
   // Pass 2: ONE tiled walk over the union of every item's tiles.  Workers
@@ -196,33 +318,51 @@ std::vector<core::StreamingMeasures> ExperimentEngine::walk(
           const Item& item = items[k];
           const Prepared& p = prep[k];
           const std::size_t local = tile - tileOffset[k];
-          const std::size_t q0 =
-              item.qBegin + (local / p.tilesI) * config_.tileStates;
-          const std::size_t c0 = (local % p.tilesI) * config_.tileInputs;
-          const std::size_t q1 = std::min(item.qEnd, q0 + config_.tileStates);
+          const std::size_t chunk = ownerOf(p.chunkTiles, local);
+          const std::size_t r0 =
+              (local - p.chunkTiles[chunk]) * config_.tileStates;
+          const std::size_t c0 = chunk * config_.tileInputs;
           const std::size_t c1 =
               std::min(p.cols.size(), c0 + config_.tileInputs);
           const TimingModel& model = *item.grid.model;
           core::StreamingMeasures* acc =
               matrix ? nullptr
                      : &accs[static_cast<std::size_t>(worker) * n + k];
-          for (std::size_t q = q0; q < q1; ++q) {
-            for (std::size_t c = c0; c < c1; ++c) {
-              const auto& members = p.cols[c];
-              const auto& ref = p.refs[members.front() - item.iBegin];
-              const core::Cycles t = p.form != ReplayForm::None
-                                         ? model.timePacked(q, *ref.compiled)
-                                         : model.time(q, *ref.trace);
-              if (matrix != nullptr) {
-                matrix->at(q, members.front()) = t;
-              } else {
-                acc->addEqual(q, members.data(), members.size(), t);
+          std::size_t cells = 0, replayed = 0;
+          for (std::size_t c = c0; c < c1; ++c) {
+            const auto& inputs = p.cols[c];
+            const auto& ref = p.refs[inputs.front() - item.iBegin];
+            const bool keyed = p.rows[c] < p.states;
+            const std::size_t r1 =
+                std::min<std::size_t>(p.rows[c], r0 + config_.tileStates);
+            for (std::size_t r = r0; r < r1; ++r) {
+              auto self = static_cast<std::uint32_t>(item.qBegin + r);
+              const std::uint32_t* group = &self;
+              std::size_t size = 1;
+              if (keyed) {
+                const std::uint32_t* starts = &p.starts[c * (p.states + 1)];
+                group = &p.members[c * p.states + starts[r]];
+                size = starts[r + 1] - starts[r];
               }
+              const core::Cycles t =
+                  p.form != ReplayForm::None
+                      ? model.timePacked(group[0], *ref.compiled)
+                      : model.time(group[0], *ref.trace);
+              if (matrix != nullptr) {
+                matrix->at(group[0], inputs.front()) = t;
+              } else {
+                for (std::size_t m = 0; m < size; ++m) {
+                  acc->addEqual(group[m], inputs.data(), inputs.size(), t);
+                }
+              }
+              cells += size;
+              ++replayed;
             }
           }
           // One relaxed add per tile keeps the cell loop untouched.
           cTiles_->add();
-          cCells_->add((q1 - q0) * (c1 - c0));
+          cCells_->add(cells);
+          cCellsReplayed_->add(replayed);
         },
         &util_);
   }

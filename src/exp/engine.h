@@ -12,9 +12,10 @@
 // or tile shape — the property the engine tests assert cell-for-cell.
 //
 // Every entry point is ONE private walk over items of the form (grid,
-// q-range, i-range).  The walk makes two pool passes: the first resolves
-// every item's input range through the TraceStore, the second walks the
-// union of all items' tiles.  Two sinks hang off that walk:
+// q-range, i-range).  The walk makes up to three pool passes: the first
+// resolves every item's input range through the TraceStore, the second
+// groups the states of every column (below), the third walks the union of
+// all items' tiles.  Two sinks hang off that walk:
 //   the streaming sink folds cells into StreamingMeasures (per worker and
 //     item, merged in worker order), so exhaustive queries that don't keep
 //     matrices never allocate |Q|×|I|.  reduceCells and reduceCellsRange
@@ -30,14 +31,42 @@
 // path, which benches use to measure the speedup.  Both paths are
 // bit-identical (asserted in tests).
 //
-// Orthogonally, the streaming sink collapses the INPUT axis before
-// walking it (EngineConfig::collapseTraceClasses): inputs whose functional
-// traces are record-for-record identical — the TraceStore's
-// trace-equivalence classes — are timed once per state, and the class
-// result fans out to every member through StreamingMeasures::addEqual.
-// Duplicate-heavy grids evaluate |Q| x |classes| cells instead of
-// |Q| x |I|, with values and witnesses bit-identical to the uncollapsed
-// walk by construction.
+// Orthogonally, the streaming sink collapses both axes before walking them
+// (EngineConfig::collapseTraceClasses):
+//   the INPUT axis: inputs whose functional traces are record-for-record
+//     identical — the TraceStore's trace-equivalence classes — form one
+//     column of the walk, timed once per state;
+//   the STATE axis: T(q, trace) depends only on the part of q the trace
+//     can observe.  On the packed path, the grouping pass asks the model
+//     for an exact key over each column's footprint
+//     (TimingModel::observableKey: the class's distinct data words, plus
+//     its fetch pcs under an I-cache), keys every state of the column's
+//     q-range into one reused flat buffer, and groups the states by exact
+//     key compare.  A column's rows are its state groups, stored flat (one
+//     index array plus group starts per column, groups ordered by first
+//     member, members ascending); a column without a key — a model that
+//     declines, the interpreted path, the matrix sink, collapse off — has
+//     one implicit row per state and no per-state storage, so a walk
+//     without keys is the plain rectangle walk.  A keyed item holds two
+//     32-bit indices per (state, column) cell of its range.
+// Each row replays its smallest state against its column's smallest input
+// once, and the time fans out to every (state, input) member through
+// StreamingMeasures::addEqual.  Values and smallest-index witnesses are
+// bit-identical to the uncollapsed walk by construction.  Shard ranges
+// group within [qBegin, qEnd) and [iBegin, iEnd) but keep GLOBAL indices,
+// so merged shards stay byte-exact.  The tile shape never affects results:
+// each chunk of tileInputs columns splits into tiles of tileStates rows.
+//
+// Counters (metrics(), per run through report() deltas):
+//   engine.cells           (state, column) cells walked — what the walk
+//                          covers, collapsed states included
+//   engine.cells_collapsed cells the input axis folded away
+//   engine.trace_classes   columns of collapsing walks
+//   engine.state_groups    rows walked: the state groups of every column,
+//                          one per state where a column has no key
+//   engine.cells_replayed  model evaluations actually run; every row of a
+//                          walk replays once, so it equals state_groups'
+//                          increase, and engine.cells on uncollapsed walks
 //
 // The engine owns a TraceStore (trace_store.h) so the functional trace of
 // each input — and the replay form its models read — is computed once and
@@ -81,19 +110,32 @@ struct EngineConfig {
   /// Never affects results (bit-identity is asserted in tests); off forces
   /// the legacy time(q, trace) evaluator, the benches' baseline.
   bool usePackedReplay = true;
-  /// Collapse the input axis of every streaming reduction by
-  /// trace-equivalence class: T(q, i) is a function of the functional trace
-  /// alone, so inputs with record-identical traces are timed ONCE per state
-  /// and the result fans out to all members through
-  /// StreamingMeasures::addEqual with smallest-index witness attribution.
-  /// Never affects results — values and witnesses are bit-identical to the
-  /// uncollapsed walk by construction (gated cell-for-cell and
-  /// witness-for-witness in tests/differential_test.cpp); off forces the
-  /// one-cell-per-input walk, the benches' collapse baseline.  Scheduling /
-  /// evaluation-strategy knob: invisible to result identities and cache
-  /// keys (canonicalResultIdentity normalizes it away).
+  /// Collapse both axes of every streaming reduction (see the file
+  /// comment).  Inputs: T(q, i) is a function of the functional trace
+  /// alone, so inputs with record-identical traces are timed ONCE per
+  /// state.  States: on the packed path, states whose observable keys over
+  /// a trace class's footprint are equal are timed ONCE per class.  Each
+  /// result fans out to all members through StreamingMeasures::addEqual
+  /// with smallest-index witness attribution.  Never affects results —
+  /// values and witnesses are bit-identical to the uncollapsed walk by
+  /// construction (gated cell-for-cell and witness-for-witness in
+  /// tests/differential_test.cpp, and pinned by tests/golden_test.cpp);
+  /// off forces the one-cell-per-(state, input) walk, the benches' collapse
+  /// baseline.  Scheduling / evaluation-strategy knob: invisible to result
+  /// identities and cache keys (canonicalResultIdentity normalizes it
+  /// away).
   bool collapseTraceClasses = true;
 };
+
+/// Groups the states [qBegin, qBegin + n) by `key`, compared exactly (a
+/// hash only buckets them): writes the n global state indices, grouped, to
+/// `members`, and the group boundaries (groups + 1 entries, starting at 0)
+/// to `starts`.  Groups are ordered by first member and members ascend.
+/// Returns the group count.  The walk's grouping pass runs it once per
+/// keyed column; it allocates only when its reused buffers grow.
+std::uint32_t groupStates(const ObservableKey& key, std::size_t qBegin,
+                          std::size_t n, std::uint32_t* members,
+                          std::uint32_t* starts);
 
 class ExperimentEngine {
  public:
@@ -218,10 +260,12 @@ class ExperimentEngine {
   /// shard-vs-single and batch-vs-single bit-identity contracts rest on a
   /// single body.  Pass 1 hashes each item's program once and resolves
   /// the item's input range on the pool, lowering traces only into the
-  /// replay form of models on the packed path; pass 2 walks the
-  /// union of all items' tiles.  A column of the walk is a trace class when
-  /// collapseTraceClasses is on and a single input otherwise; witnesses use
-  /// GLOBAL input indices either way, so shard merges stay byte-exact.
+  /// replay form of models on the packed path; the grouping pass groups
+  /// each keyed column's states; pass 2 walks the union of all items'
+  /// tiles.  A column of the walk is a trace class when
+  /// collapseTraceClasses is on and a single input otherwise, and its rows
+  /// are its state groups; witnesses use GLOBAL indices either way, so
+  /// shard merges stay byte-exact.
   /// Returns one full-shape accumulator per item — or, given `matrix` (one
   /// item, never collapsed), writes every cell there and returns nothing.
   /// Replay time lands in replay.batched when `batched`, else in
@@ -261,10 +305,13 @@ class ExperimentEngine {
   obs::Counter* cCells_;
   obs::Counter* cTraceClasses_;
   obs::Counter* cCellsCollapsed_;
+  obs::Counter* cStateGroups_;
+  obs::Counter* cCellsReplayed_;
   obs::Counter* cModelHits_;
   obs::Counter* cModelMisses_;
   obs::PhaseAccum* pModelMake_;
   obs::PhaseAccum* pResolve_;
+  obs::PhaseAccum* pGroup_;
   obs::PhaseAccum* pReplayPacked_;
   obs::PhaseAccum* pReplayInterp_;
   obs::PhaseAccum* pReplayBatched_;

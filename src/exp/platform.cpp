@@ -25,6 +25,27 @@ Cycles TimingModel::timePacked(std::size_t, const ReplayProgram&) const {
                          "' does not support packed replay");
 }
 
+std::unique_ptr<const ObservableKey> TimingModel::observableKey(
+    const ReplayProgram&) const {
+  return nullptr;
+}
+
+namespace {
+
+/// True when `b` replays like `a` would from the same contents: equal
+/// geometry, policy and timing.  A projection is comparable only between
+/// such snapshots.
+bool sameCacheShape(const cache::PackedCacheState& a,
+                    const cache::PackedCacheState& b) {
+  return a.geometry.lineWords == b.geometry.lineWords &&
+         a.geometry.numSets == b.geometry.numSets &&
+         a.geometry.ways == b.geometry.ways && a.policy == b.policy &&
+         a.timing.hitLatency == b.timing.hitLatency &&
+         a.timing.missLatency == b.timing.missLatency;
+}
+
+}  // namespace
+
 InOrderSnapshotModel::InOrderSnapshotModel(std::string name,
                                            pipeline::InOrderConfig config,
                                            std::vector<State> states)
@@ -48,6 +69,42 @@ InOrderSnapshotModel::InOrderSnapshotModel(std::string name,
     }
     packed_.push_back(std::move(p));
   }
+  const PackedState& first = packed_.front();
+  keyable_ = cache::projectable(first.data.policy) &&
+             (!first.hasICache || cache::projectable(first.icache.policy));
+  for (std::size_t q = 0; q < states_.size() && keyable_; ++q) {
+    const PackedState& p = packed_[q];
+    keyable_ = states_[q].predictor == nullptr &&
+               sameCacheShape(first.data, p.data) &&
+               p.hasICache == first.hasICache &&
+               (!p.hasICache || sameCacheShape(first.icache, p.icache));
+  }
+}
+
+std::unique_ptr<const ObservableKey> InOrderSnapshotModel::observableKey(
+    const ReplayProgram& rp) const {
+  if (!keyable_) return nullptr;
+  struct Key final : ObservableKey {
+    const InOrderSnapshotModel* model = nullptr;
+    cache::CacheFootprint data;
+    cache::CacheFootprint fetch;
+    void append(std::size_t q, std::vector<std::int64_t>& key) const override {
+      const PackedState& p = model->packed_[q];
+      p.data.project(data, key);
+      if (p.hasICache) p.icache.project(fetch, key);
+    }
+  };
+  auto key = std::make_unique<Key>();
+  key->model = this;
+  const PackedState& first = packed_.front();
+  if (!key->data.build(first.data.geometry, rp.dataAddr)) return nullptr;
+  if (first.hasICache &&
+      !key->fetch.build(first.icache.geometry,
+                        std::vector<std::int64_t>(rp.fetchPc.begin(),
+                                                  rp.fetchPc.end()))) {
+    return nullptr;
+  }
+  return key;
 }
 
 Cycles InOrderSnapshotModel::time(std::size_t q,
@@ -208,6 +265,11 @@ class OooModel : public TimingModel {
     if (!packedOk_) return;
     packed_.reserve(states_.size());
     for (const State& s : states_) packed_.push_back(s.cache.pack());
+    keyable_ = cache::projectable(packed_.front().policy) &&
+               std::all_of(packed_.begin(), packed_.end(),
+                           [this](const cache::PackedCacheState& p) {
+                             return sameCacheShape(packed_.front(), p);
+                           });
   }
 
   std::string name() const override { return name_; }
@@ -237,12 +299,46 @@ class OooModel : public TimingModel {
         states_[q].occupancy, nullptr);
   }
 
+  /// The data cache's projection over the data words of the memory ops,
+  /// then the occupancy triple.  The kernel's stall retries re-access the
+  /// same op's address, inside the footprint.  Declines as the in-order
+  /// model does for the cache.
+  std::unique_ptr<const ObservableKey> observableKey(
+      const ReplayProgram& rp) const override {
+    if (!keyable_) return nullptr;
+    struct Key final : ObservableKey {
+      const OooModel* model = nullptr;
+      cache::CacheFootprint data;
+      void append(std::size_t q,
+                  std::vector<std::int64_t>& key) const override {
+        model->packed_[q].project(data, key);
+        const pipeline::OooInitialState& occ = model->states_[q].occupancy;
+        key.push_back(static_cast<std::int64_t>(occ.iu0Busy));
+        key.push_back(static_cast<std::int64_t>(occ.iu1Busy));
+        key.push_back(static_cast<std::int64_t>(occ.lsuBusy));
+      }
+    };
+    std::vector<std::int64_t> words;
+    for (const ReplayOp& op : rp.ops) {
+      if (op.cls == static_cast<std::uint8_t>(isa::LatencyClass::Memory)) {
+        words.push_back(op.memAddr);
+      }
+    }
+    auto key = std::make_unique<Key>();
+    key->model = this;
+    if (!key->data.build(packed_.front().geometry, std::move(words))) {
+      return nullptr;
+    }
+    return key;
+  }
+
  private:
   std::string name_;
   pipeline::OooConfig config_;
   std::vector<State> states_;
   std::vector<cache::PackedCacheState> packed_;  ///< parallel when packedOk_
   bool packedOk_ = false;
+  bool keyable_ = false;  ///< observableKey can key (see there)
 };
 
 /// Out-of-order pipeline over a fixed-latency scratchpad; Q = the

@@ -17,6 +17,15 @@
 // Models therefore treat their enumerated states as immutable snapshots and
 // build fresh mutable hardware (cache copies, predictor clones, pipeline
 // objects) per call.
+//
+// Key contract (the engine's state-axis collapse, exp/engine.h): a model
+// may offer TimingModel::observableKey, an exact key of the part of a
+// state one trace class can observe.  Two states with equal keys must
+// replay every trace of that class's footprint to equal times; a key may
+// be finer than that, never coarser.  Declining is always correct — it
+// only costs replays.  InOrderSnapshotModel keys its caches' projections
+// (cache::PackedCacheState::project), OooModel adds its occupancy triple;
+// RANDOM caches, predictors, PRET slots and SMT contexts decline.
 
 #include <cstdint>
 #include <functional>
@@ -43,6 +52,16 @@
 namespace pred::exp {
 
 using core::Cycles;  // one shared cycle type, no shadow definition
+
+/// An exact key of the part of a hardware state one trace class can
+/// observe (TimingModel::observableKey), prepared once per class.
+class ObservableKey {
+ public:
+  virtual ~ObservableKey() = default;
+  /// Appends state q's key to `key`.  Allocates nothing beyond the growth
+  /// of `key`, which callers reuse.
+  virtual void append(std::size_t q, std::vector<std::int64_t>& key) const = 0;
+};
 
 /// One system instantiated for one program: an enumerated hardware-state
 /// set Q and the timing evaluator over it.
@@ -79,6 +98,18 @@ class TimingModel {
   /// T(q, rp) over the compiled replay form packedForm().  Only meaningful
   /// when supportsPackedReplay(); the default throws std::logic_error.
   virtual Cycles timePacked(std::size_t q, const ReplayProgram& rp) const;
+
+  /// The state-axis collapse hook (exp/engine.h).  Given one trace class's
+  /// replay form (packedForm()), returns a key over the class's footprint:
+  /// the distinct data words its replay accesses and, for a model with an
+  /// I-cache, its distinct fetch pcs.  Contract: two states whose keys are
+  /// equal replay every trace with that footprint — rp's among them — to
+  /// equal times under timePacked.  The engine calls it once per trace
+  /// class, never per cell.  nullptr declines, and the default declines:
+  /// a model whose time depends on state it cannot key exactly (an rng, a
+  /// predictor table, a co-runner set) keeps one group per state.
+  virtual std::unique_ptr<const ObservableKey> observableKey(
+      const ReplayProgram& rp) const;
 };
 
 /// In-order pipeline over explicit snapshot states: data cache, optional
@@ -110,6 +141,15 @@ class InOrderSnapshotModel : public TimingModel {
   bool supportsPackedReplay() const override { return packedOk_; }
   Cycles timePacked(std::size_t q, const ReplayProgram& rp) const override;
 
+  /// The data cache's projection over the data footprint, then the
+  /// I-cache's over the fetch footprint when the states have one
+  /// (cache::PackedCacheState::project).  Declines when a state carries a
+  /// predictor (its table is not keyed), when the states' caches differ in
+  /// geometry, policy or timing, under RANDOM, and on a footprint word
+  /// outside the sets.
+  std::unique_ptr<const ObservableKey> observableKey(
+      const ReplayProgram& rp) const override;
+
  private:
   /// Flat snapshot pair for one state; icache holds no sets when absent.
   struct PackedState {
@@ -123,6 +163,7 @@ class InOrderSnapshotModel : public TimingModel {
   std::vector<State> states_;
   std::vector<PackedState> packed_;  ///< parallel to states_ when packedOk_
   bool packedOk_ = false;
+  bool keyable_ = false;  ///< observableKey can key (see there)
 };
 
 /// Knobs shared by all platform factories.  Presets interpret the subset

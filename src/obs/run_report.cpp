@@ -350,17 +350,12 @@ RunReport mergeFleet(const std::vector<RunReport>& parts) {
       f.totalNs += p.totalNs;
       f.maxNs = std::max(f.maxNs, p.maxNs);
     }
-    // Worker slots aggregate element-wise: slot w of the fleet is the sum
-    // over every process's slot w (per-process identity is meaningless
-    // across hosts; the aggregate still answers "how busy was the fleet").
-    if (part.workers.size() > fleet.workers.size()) {
-      fleet.workers.resize(part.workers.size());
-    }
-    for (std::size_t w = 0; w < part.workers.size(); ++w) {
-      fleet.workers[w].busyNs += part.workers[w].busyNs;
-      fleet.workers[w].items += part.workers[w].items;
-      fleet.workers[w].participations += part.workers[w].participations;
-    }
+    // Every process's worker slots stay slots of their own: a slot is busy
+    // within its process's wall, which the critical path bounds, so no
+    // fleet slot can read over 100%.  (Summing slot w across processes
+    // read 454% on a 64% busy fleet.)
+    fleet.workers.insert(fleet.workers.end(), part.workers.begin(),
+                         part.workers.end());
     // A worker run contributes its self-entry; an already-merged report
     // contributes all of its shards (merge is associative).
     fleet.shards.insert(fleet.shards.end(), part.shards.begin(),

@@ -18,8 +18,13 @@
 // mergeFleet folds the per-shard reports of a distributed run into one
 // fleet view: counters and phases sum, shard entries concatenate (each
 // worker run contributes its self-entry), and wallNs becomes the slowest
-// shard's wall time — the fleet's critical path.  text() renders the human
-// summary scripts/shard_run.sh prints.
+// shard's wall time — the fleet's critical path.  Worker slots concatenate
+// too: each shard report's pool slots become fleet slots of their own, so
+// a fleet report holds (shards x slots per shard) worker rows, bounded by
+// the job's shard count like its shard rows.  A slot is busy only within
+// its own shard's wall, and the critical path is at least that wall, so
+// text() never shows a slot above 100% utilization.  text() renders the
+// human summary scripts/shard_run.sh prints.
 
 #include <cstdint>
 #include <map>

@@ -20,6 +20,7 @@
 
 #include <cstdint>
 #include <random>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -97,10 +98,13 @@ void sweepAllPresets(const isa::Program& prog,
 /// per-axis extreme and witness index, not just the derived measures — on
 /// both the packed and interpreted paths and on the one-walk batch path,
 /// plus a witness-for-witness cross-check against the matrix evaluators.
+/// On the packed path of every preset in `statesRepeat`, the state axis
+/// must collapse too: fewer model evaluations than (state, class) cells.
 void sweepCollapseAllPresets(const isa::Program& prog,
                              const std::vector<isa::Input>& inputs,
                              exp::PlatformOptions opts,
-                             const std::string& tag) {
+                             const std::string& tag,
+                             const std::set<std::string>& statesRepeat = {}) {
   for (const auto& name : exp::PlatformRegistry::instance().names()) {
     const std::string label = tag + "/" + name;
     const auto model =
@@ -128,6 +132,18 @@ void sweepCollapseAllPresets(const isa::Program& prog,
       EXPECT_LT(on.metrics().counter("engine.trace_classes").value(),
                 static_cast<std::uint64_t>(inputs.size()))
           << label;
+      // Every group of every column replays once; a silently inert state
+      // key must fail here too.
+      const std::uint64_t walked = on.metrics().counter("engine.cells").value();
+      const std::uint64_t replayed =
+          on.metrics().counter("engine.cells_replayed").value();
+      EXPECT_EQ(on.metrics().counter("engine.state_groups").value(), replayed)
+          << label;
+      if (packed && statesRepeat.count(name) != 0) {
+        EXPECT_LT(replayed, walked) << label << ": state collapse inert";
+      } else if (!packed) {
+        EXPECT_EQ(replayed, walked) << label;
+      }
 
       // The one-walk batch path collapses identically too.
       const exp::ExperimentEngine::GridSpec spec{model.get(), &prog,
@@ -216,6 +232,13 @@ TEST_P(PackedDifferential, CollapseBitIdenticalOnDuplicateHeavyGrids) {
   opts.numStates = 4;
   sweepCollapseAllPresets(prog, inputs, opts,
                           "dup-seed" + std::to_string(seed));
+  // At 64 states the enumerated states repeat, so every preset that keys
+  // its states must replay fewer cells than it walks.
+  opts.numStates = 64;
+  sweepCollapseAllPresets(prog, inputs, opts,
+                          "dup64-seed" + std::to_string(seed),
+                          {"inorder-lru", "inorder-fifo", "inorder-plru",
+                           "inorder-lru-icache", "ooo-lru", "ooo-fifo"});
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PackedDifferential,

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <functional>
@@ -13,6 +14,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -889,6 +891,71 @@ TEST(ExperimentEngine, EmptyAxesYieldEmptyMatrix) {
   EXPECT_EQ(m.numInputs(), 0u);
   EXPECT_EQ(m.bcet(), 0u);  // defined (zero) rather than UB on empty axes
   EXPECT_EQ(m.wcet(), 0u);
+}
+
+TEST(ExperimentEngine, StateCollapseCountsReplaysAndMovesNoResult) {
+  // 64 states of the 8 x 2 LRU cache repeat, so the streaming walk groups
+  // each trace class's states: engine.cells keeps counting (state, class)
+  // cells, engine.cells_replayed counts model evaluations, and every group
+  // walked is replayed once.  The matrix sink, collapse off and the
+  // interpreted path replay every cell.  No tile shape or thread count
+  // moves a byte.
+  const auto prog = testProgram();
+  const auto inputs = testInputs(prog, 12);
+  PlatformOptions opts;
+  opts.numStates = 64;
+  const auto model =
+      PlatformRegistry::instance().make("inorder-lru", prog, opts);
+  const auto counts = [&](EngineConfig cfg, bool matrix) {
+    ExperimentEngine engine(cfg);
+    const auto acc = engine.reduceCells(*model, prog, inputs);
+    if (matrix) {
+      const auto before = engine.report();
+      engine.computeMatrix(*model, prog, inputs);
+      const auto d = engine.report().deltaSince(before);
+      return std::make_pair(acc, std::array<std::uint64_t, 3>{
+                                     d.counter("engine.cells"),
+                                     d.counter("engine.state_groups"),
+                                     d.counter("engine.cells_replayed")});
+    }
+    const auto r = engine.report();
+    return std::make_pair(acc, std::array<std::uint64_t, 3>{
+                                   r.counter("engine.cells"),
+                                   r.counter("engine.state_groups"),
+                                   r.counter("engine.cells_replayed")});
+  };
+  EngineConfig off;
+  off.collapseTraceClasses = false;
+  const auto [reference, offCounts] = counts(off, false);
+  const std::uint64_t cells = 64u * inputs.size();
+  EXPECT_EQ(offCounts[0], cells);
+  EXPECT_EQ(offCounts[2], cells);
+
+  const auto [collapsed, onCounts] = counts(EngineConfig{}, false);
+  EXPECT_TRUE(collapsed.identicalTo(reference));
+  EXPECT_LT(onCounts[0], cells);  // trace classes fold some inputs
+  EXPECT_EQ(onCounts[1], onCounts[2]);
+  EXPECT_LT(4 * onCounts[2], onCounts[0]);
+
+  const auto [viaMatrix, matrixCounts] = counts(EngineConfig{}, true);
+  EXPECT_EQ(matrixCounts[0], cells);
+  EXPECT_EQ(matrixCounts[2], cells);
+
+  EngineConfig interpreted;
+  interpreted.usePackedReplay = false;
+  const auto [interp, interpCounts] = counts(interpreted, false);
+  EXPECT_TRUE(interp.identicalTo(reference));
+  EXPECT_EQ(interpCounts[2], interpCounts[0]);
+
+  for (const auto& [threads, tileStates, tileInputs] :
+       std::vector<std::tuple<int, std::size_t, std::size_t>>{
+           {1, 1, 1}, {3, 5, 2}, {4, 64, 64}, {2, 7, 3}}) {
+    EngineConfig cfg{threads, tileStates, tileInputs};
+    const auto [acc, c] = counts(cfg, false);
+    EXPECT_TRUE(acc.identicalTo(reference))
+        << threads << " " << tileStates << "x" << tileInputs;
+    EXPECT_EQ(c, onCounts);
+  }
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -301,13 +302,45 @@ TEST(MergeFleet, FoldsKShardReportsIntoTheFleetView) {
   EXPECT_EQ(fleet.phases.at("replay.packed").count, 3u);
   EXPECT_EQ(fleet.phases.at("replay.packed").totalNs, 3000u);
   EXPECT_EQ(fleet.phases.at("replay.packed").maxNs, 1500u);
-  ASSERT_EQ(fleet.workers.size(), 2u);  // padded to the widest part
-  EXPECT_EQ(fleet.workers[0].busyNs, 1200u);
-  EXPECT_EQ(fleet.workers[1].busyNs, 100u);
+  ASSERT_EQ(fleet.workers.size(), 4u);  // every part's slots, in order
+  EXPECT_EQ(fleet.workers[0].busyNs, 400u);
+  EXPECT_EQ(fleet.workers[1].busyNs, 400u);
+  EXPECT_EQ(fleet.workers[2].busyNs, 400u);
+  EXPECT_EQ(fleet.workers[3].busyNs, 100u);
   ASSERT_EQ(fleet.shards.size(), 3u);
   // Round-trips as a report itself (merge output crosses processes too).
   EXPECT_EQ(obs::RunReport::deserialize(fleet.serialize()).serialize(),
             fleet.serialize());
+}
+
+TEST(MergeFleet, FullyBusyOneSlotShardsReadOneHundredPercentEach) {
+  // Eight one-slot shard reports, each busy for its whole (equal) wall: the
+  // fleet keeps eight slots, each 100% busy over the critical path.  Summing
+  // slots across processes read 800% here.
+  std::vector<obs::RunReport> parts(8);
+  for (auto& r : parts) {
+    r.wallNs = 5000;
+    r.workers = {obs::WorkerStat{5000, 3, 1}};
+  }
+  const obs::RunReport fleet = obs::mergeFleet(parts);
+  ASSERT_EQ(fleet.workers.size(), 8u);
+  for (const auto& w : fleet.workers) {
+    EXPECT_EQ(w.busyNs, fleet.wallNs);
+  }
+  const std::string text = fleet.text();
+  EXPECT_NE(text.find("100.0%"), std::string::npos) << text;
+  // No percentage in the rendering exceeds 100.
+  for (std::size_t pos = text.find('%'); pos != std::string::npos;
+       pos = text.find('%', pos + 1)) {
+    std::size_t start = pos;
+    while (start > 0 && (std::isdigit(static_cast<unsigned char>(
+                             text[start - 1])) ||
+                         text[start - 1] == '.')) {
+      --start;
+    }
+    ASSERT_LT(start, pos) << text;
+    EXPECT_LE(std::stod(text.substr(start, pos - start)), 100.0) << text;
+  }
 }
 
 TEST(MergeFleet, MixedContextBecomesUnbound) {

@@ -140,6 +140,40 @@ TEST(ShardIdentity, CollapsedShardsMergeToUncollapsedSingleProcessBytes) {
     EXPECT_TRUE(merged.identicalTo(single)) << label;
     EXPECT_EQ(merged.serialize(), single.serialize()) << label;
   }
+
+  // Uneven state bands at 64 states, where the state axis collapses too:
+  // each band groups only its own states but keeps global indices, so the
+  // bands (crossed with an uneven input split) merge to the bytes of
+  // reduceCells, collapsed or not.
+  exp::PlatformOptions many;
+  many.numStates = 64;
+  const std::vector<std::size_t> qCuts = {0, 1, 7, 30, 31, 64};
+  const std::vector<std::size_t> iCuts = {0, 13, w.inputs.size()};
+  for (const char* platform : {"inorder-lru", "ooo-fifo"}) {
+    const auto m =
+        exp::PlatformRegistry::instance().make(platform, w.program, many);
+    ASSERT_EQ(m->numStates(), 64u);
+    exp::ExperimentEngine engine;
+    const auto whole = engine.reduceCells(*m, w.program, w.inputs);
+    EXPECT_TRUE(
+        whole.identicalTo(reference.reduceCells(*m, w.program, w.inputs)))
+        << platform;
+    const auto before = engine.report();
+    std::vector<StreamingMeasures> parts;
+    for (std::size_t b = 0; b + 1 < qCuts.size(); ++b) {
+      for (std::size_t c = 0; c + 1 < iCuts.size(); ++c) {
+        parts.push_back(engine.reduceCellsRange(*m, w.program, w.inputs,
+                                                qCuts[b], qCuts[b + 1],
+                                                iCuts[c], iCuts[c + 1]));
+      }
+    }
+    const auto bands = engine.report().deltaSince(before);
+    EXPECT_LT(bands.counter("engine.cells_replayed"),
+              bands.counter("engine.cells"))
+        << platform << ": the bands did not collapse states";
+    const auto merged = exp::ExperimentEngine::mergeShards(std::move(parts));
+    EXPECT_EQ(merged.serialize(), whole.serialize()) << platform;
+  }
 }
 
 TEST(ShardIdentity, MergeIsOrderIndependent) {
