@@ -10,10 +10,10 @@
 // renderings, so golden files stay stable; render it explicitly with
 // text() or json().
 //
-// The same wire format crosses processes: pred-shard-worker run --report
-// emits one per shard and `pred-shard-worker report` / scripts/shard_run.sh
-// fold them into the fleet view (slowest shard, wall skew, per-shard
-// trace-cache hit rates).
+// The same wire format crosses processes: every grid worker ships one per
+// shard, and pred-grid-server folds a job's reports into the fleet view
+// that `pred-grid-client stats` prints (slowest shard, wall skew,
+// per-shard trace-cache hit rates).
 //
 // Build & run:   ./build/example_run_report [--json]
 

@@ -5,7 +5,8 @@
 #
 # What it proves (the CI grid-smoke job and the grid_subprocess_smoke
 # ctest):
-#   1. a job submitted through the daemon comes back BYTE-FOR-BYTE
+#   1. a job submitted through the daemon, split -k ways across the
+#      worker subprocesses and merged, comes back BYTE-FOR-BYTE
 #      identical to the single-process `pred-shard-worker single` run —
 #      while the first worker to receive a shard is SIGKILLed holding it
 #      (--fault-plan worker.exit:error, so the death happens at every
@@ -48,12 +49,11 @@
 # fault point.  Every round must end with the daemon alive and a correct
 # result.
 #
-# Usage:  scripts/grid_run.sh [--smoke] [--attach] [--chaos SEED]
+# Usage:  scripts/grid_run.sh [--attach] [--chaos SEED]
 #                             [-k shards] [-p platform] [-w workload]
 #                             [-s states] [-n workers] [build-dir]
 # Defaults: 8-way shards of the inorder-lru 64 x 64 grid on 4 workers,
-# build-dir=build.  (--smoke is accepted for symmetry with shard_run.sh;
-# the checks always run.)
+# build-dir=build.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -68,7 +68,6 @@ CHAOS_SEED=
 ATTACH=0
 while [ "$#" -gt 0 ]; do
   case "$1" in
-    --smoke) ;;
     --attach) ATTACH=1 ;;
     --chaos) CHAOS_SEED="$2"; shift ;;
     -k) SHARDS="$2"; shift ;;
@@ -76,6 +75,7 @@ while [ "$#" -gt 0 ]; do
     -w) WORKLOAD="$2"; shift ;;
     -s) STATES="$2"; shift ;;
     -n) WORKERS="$2"; shift ;;
+    -*) echo "error: unknown flag $1" >&2; exit 2 ;;
     *) BUILD_DIR="$1" ;;
   esac
   shift
@@ -346,7 +346,7 @@ if [ -n "$CHAOS_SEED" ]; then
   exit 0
 fi
 
-# ---------------------------------------------------------------- smoke mode
+# -------------------------------------------------------------- default mode
 echo "== start: $WORKERS-worker grid server (worker.exit armed: the first worker to get a shard dies)" >&2
 start_server --fault-plan worker.exit:error
 

@@ -11,15 +11,15 @@
 // the FULL grid shape with global indices, merging K shards — in any
 // order, for any partition — reproduces the single-process reduceCells
 // result value-for-value and witness-for-witness: distribution cannot
-// change a witness.  tests/shard_test.cpp asserts exactly that; the
-// pred-shard-worker binary (tools/shard_worker.cpp) and
-// scripts/shard_run.sh are the real-subprocess fan-out.
+// change a witness.  tests/shard_test.cpp asserts exactly that.  The one
+// fan-out built on it is the grid service (src/grid/): pred-grid-server
+// plans a job with planShards, its `pred-shard-worker attach` workers
+// evaluate the specs, and it merges the accumulators with mergeShards.
 //
 // Layering: this header stays below the study layer — specs carry the
 // WORKLOAD NAME only, and evaluateShard takes the already-resolved program
 // and inputs.  Name resolution against WorkloadRegistry lives in the
-// caller (study::Query::runSharded, and study::gridShardEvaluator, which
-// every grid worker runs).
+// caller, study::gridShardEvaluator, which every grid worker runs.
 //
 // evaluateShard comes in two forms with one body: on the caller's engine,
 // whose model cache and TraceStore may already hold the shard's grid (the

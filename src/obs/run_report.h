@@ -3,7 +3,7 @@
 //
 // A RunReport is the observability layer's output shape: every counter and
 // phase timing the MetricsRegistry collected, per-worker pool utilization,
-// and — for sharded runs — one ShardStat per shard so a merged report can
+// and — for grid jobs — one ShardStat per shard so a merged report can
 // answer the fleet questions ("which shard was slow?", "how skewed was the
 // partition?", "what was each shard's trace-cache hit rate?").
 //
@@ -15,16 +15,17 @@
 // normalized() zeroes every *Ns field (and the nondeterministic per-worker
 // item split) for byte-stable comparisons in tests and caching keys.
 //
-// mergeFleet folds the per-shard reports of a distributed run into one
-// fleet view: counters and phases sum, shard entries concatenate (each
-// worker run contributes its self-entry), and wallNs becomes the slowest
-// shard's wall time — the fleet's critical path.  Worker slots concatenate
-// too: each shard report's pool slots become fleet slots of their own, so
-// a fleet report holds (shards x slots per shard) worker rows, bounded by
-// the job's shard count like its shard rows.  A slot is busy only within
-// its own shard's wall, and the critical path is at least that wall, so
-// text() never shows a slot above 100% utilization.  text() renders the
-// human summary scripts/shard_run.sh prints.
+// mergeFleet folds the per-shard reports of a grid job into one fleet view
+// (the grid scheduler runs it on every job it merges): counters and phases
+// sum, shard entries concatenate (each worker run contributes its
+// self-entry), and wallNs becomes the slowest shard's wall time — the
+// fleet's critical path.  Worker slots concatenate too: each shard
+// report's pool slots become fleet slots of their own, so a fleet report
+// holds (shards x slots per shard) worker rows, bounded by the job's shard
+// count like its shard rows.  A slot is busy only within its own shard's
+// wall, and the critical path is at least that wall, so text() never shows
+// a slot above 100% utilization.  text() renders the human summary
+// `pred-grid-client stats` prints for the server's last job.
 
 #include <cstdint>
 #include <map>

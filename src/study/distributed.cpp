@@ -1,9 +1,7 @@
 #include "study/distributed.h"
 
-#include <cctype>
 #include <chrono>
 #include <memory>
-#include <stdexcept>
 #include <string>
 #include <utility>
 
@@ -15,22 +13,6 @@
 namespace pred::study {
 
 namespace {
-
-// Same label/clock conventions as query.cpp's runOne (file-local there).
-std::string distLabel(const std::string& s) {
-  if (s.empty()) return "-";
-  std::string out = s;
-  for (char& c : out)
-    if (std::isspace(static_cast<unsigned char>(c))) c = '_';
-  return out;
-}
-
-std::uint64_t distElapsedNs(std::chrono::steady_clock::time_point start) {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - start)
-          .count());
-}
 
 /// What a thread keeps of the grid it evaluated last.
 struct ResidentGrid {
@@ -79,7 +61,7 @@ grid::ShardEvalFn gridShardEvaluator(const WorkloadRegistry& workloads,
       report.phases["setup.workload"] =
           obs::PhaseStat{setup.count(), setup.totalNs(), setup.maxNs()};
     }
-    report.wallNs = distElapsedNs(start);
+    report.wallNs = detail::elapsedNs(start);
     report.shards.front().wallNs = report.wallNs;
     return grid::ShardOutput{std::move(acc), std::move(report)};
   };
@@ -87,27 +69,27 @@ grid::ShardEvalFn gridShardEvaluator(const WorkloadRegistry& workloads,
 
 Finding Query::runDistributed(grid::GridClient& client, std::size_t shards,
                               bool useCache) const {
-  if (keepMatrix_) {
-    throw std::invalid_argument(
-        "distributed runs are streaming-only; drop keepMatrix");
-  }
   requireShardable();
-  // The local instantiation exists to shape the Finding (|Q|, state
-  // labels) and the whole-grid spec; the evaluation happens server-side.
+  // The local instantiation shapes the Finding (|Q|, state labels) and the
+  // whole-grid spec: |Q| from the model (presets may clamp the requested
+  // numStates), |I| from the workload.  The evaluation happens server-side.
   const auto w = workloads_->make(spec_.workload);
-  const auto options = optionsFor(0);
-  const auto model = platforms_->make(spec_.platforms[0], w.program, options);
+  exp::ShardSpec whole;
+  whole.platform = spec_.platforms[0];
+  whole.workload = spec_.workload;
+  whole.options = optionsFor(0);
+  const auto model = platforms_->make(whole.platform, w.program, whole.options);
+  whole.qEnd = model->numStates();
+  whole.iEnd = w.inputs.size();
   const auto start = std::chrono::steady_clock::now();
-  grid::JobResult result = client.submit(
-      wholeGridSpec(w, *model, options, exp::EngineConfig{}), shards,
-      useCache);
-  Finding f = detail::streamingFinding(spec_.workload, spec_.platforms[0],
-                                       *model, w.inputs.size(), spec_.mode,
+  grid::JobResult result = client.submit(whole, shards, useCache);
+  Finding f = detail::streamingFinding(spec_.workload, whole.platform, *model,
+                                       w.inputs.size(), spec_.mode,
                                        measures_, result.measures);
   obs::RunReport report;
-  report.platform = distLabel(spec_.platforms[0]);
-  report.workload = distLabel(spec_.workload);
-  report.wallNs = distElapsedNs(start);
+  report.platform = detail::reportLabel(whole.platform);
+  report.workload = detail::reportLabel(spec_.workload);
+  report.wallNs = detail::elapsedNs(start);
   report.counters["grid.cache.hit"] = result.cacheHit ? 1 : 0;
   f.report = std::move(report);
   return f;

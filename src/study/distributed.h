@@ -5,9 +5,10 @@
 // ShardSpecs carry workload NAMES, and the scheduler/server never touch
 // the WorkloadRegistry.  This header is where the names get resolved —
 // gridShardEvaluator() packages registry lookup + exp::evaluateShard into
-// the ShardEvalFn an in-process GridServer (or a bare scheduler) runs,
-// and Query::runDistributed (declared in query.h, implemented here) is
-// the client-side entry point.
+// the ShardEvalFn every grid worker runs (`pred-shard-worker attach`, an
+// in-process GridServer's slots, a bare scheduler), and
+// Query::runDistributed (declared in query.h, implemented here) is the
+// client-side entry point — the one way a query's grid leaves the process.
 
 #include "exp/platform.h"
 #include "grid/scheduler.h"
@@ -15,8 +16,8 @@
 
 namespace pred::study {
 
-/// The shard evaluator over the registries, run by pred-shard-worker (run
-/// and attach) and by in-process GridServer slots and schedulers: resolves
+/// The shard evaluator over the registries, run by `pred-shard-worker
+/// attach` and by in-process GridServer slots and schedulers: resolves
 /// spec.workload by name, takes spec.platform's model from an engine, and
 /// evaluates the shard's cells with full telemetry (exp::evaluateShard on
 /// that engine).

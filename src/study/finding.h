@@ -63,7 +63,9 @@ struct Finding {
 
   /// Per-run observability: the engine's counter/phase/worker deltas over
   /// exactly this evaluation (obs/run_report.h), attached by the query
-  /// layer; sharded runs carry one ShardStat per shard.  Deliberately NOT
+  /// layer.  A distributed run's report holds its wall time and the
+  /// grid.cache.hit flag; the per-shard view of a grid job is the server's
+  /// fleet report (`pred-grid-client stats`).  Deliberately NOT
   /// rendered by StudyReport::table/csv/json — those formats are
   /// golden-file-stable; use report->text() / report->json() directly.
   std::optional<obs::RunReport> report;

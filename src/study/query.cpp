@@ -2,26 +2,20 @@
 
 #include <algorithm>
 #include <cctype>
-#include <chrono>
+#include <numeric>
 #include <stdexcept>
 #include <utility>
 
 #include "analysis/wcet_bounds.h"
 #include "isa/cfg.h"
-#include "obs/span.h"
 
 namespace pred::study {
 
 namespace {
 
-/// 0..n-1 when `sub` is empty; otherwise `sub` validated against n.
-std::vector<std::size_t> effectiveSubset(const std::vector<std::size_t>& sub,
-                                         std::size_t n, const char* axis) {
-  if (sub.empty()) {
-    std::vector<std::size_t> all(n);
-    for (std::size_t k = 0; k < n; ++k) all[k] = k;
-    return all;
-  }
+/// Throws unless every index of `sub` lies below `n`.
+void checkSubset(const std::vector<std::size_t>& sub, std::size_t n,
+                 const char* axis) {
   for (const auto k : sub) {
     if (k >= n) {
       throw std::invalid_argument(std::string("uncertainty subset index ") +
@@ -30,11 +24,21 @@ std::vector<std::size_t> effectiveSubset(const std::vector<std::size_t>& sub,
                                   std::to_string(n));
     }
   }
-  return sub;
 }
 
-/// RunReport labels are single wire tokens; registry names already are, but
-/// inline workload labels are free-form — map whitespace to '_'.
+/// 0..n-1 when `sub` is empty; otherwise `sub` (checked by checkSubset).
+std::vector<std::size_t> effectiveSubset(const std::vector<std::size_t>& sub,
+                                         std::size_t n) {
+  if (!sub.empty()) return sub;
+  std::vector<std::size_t> all(n);
+  std::iota(all.begin(), all.end(), std::size_t{0});
+  return all;
+}
+
+}  // namespace
+
+namespace detail {
+
 std::string reportLabel(const std::string& s) {
   if (s.empty()) return "-";
   std::string out = s;
@@ -50,10 +54,6 @@ std::uint64_t elapsedNs(std::chrono::steady_clock::time_point start) {
           std::chrono::steady_clock::now() - start)
           .count());
 }
-
-}  // namespace
-
-namespace detail {
 
 Finding findingHeader(const std::string& workload,
                       const std::string& platform,
@@ -233,9 +233,9 @@ Finding Query::runOne(exp::ExperimentEngine& engine,
   const auto start = std::chrono::steady_clock::now();
   Finding f = evalOne(engine, w, platformName, options);
   obs::RunReport delta = engine.report().deltaSince(before);
-  delta.wallNs = elapsedNs(start);
-  delta.platform = reportLabel(platformName);
-  delta.workload = reportLabel(spec_.workload);
+  delta.wallNs = detail::elapsedNs(start);
+  delta.platform = detail::reportLabel(platformName);
+  delta.workload = detail::reportLabel(spec_.workload);
   f.report = std::move(delta);
   return f;
 }
@@ -250,21 +250,6 @@ Finding Query::evalOne(exp::ExperimentEngine& engine,
   if (spec_.mode == core::EvalMode::Sampled) {
     Finding f = detail::findingHeader(spec_.workload, platformName, *model,
                                       w.inputs.size(), spec_.mode);
-    if (!spec_.stateSubset.empty() || !spec_.inputSubset.empty()) {
-      throw std::invalid_argument(
-          "uncertainty subsets apply to exhaustive modes only");
-    }
-    if (measuresExplicit_ &&
-        measures_ != std::vector<Measure>{Measure::Pr}) {
-      throw std::invalid_argument(
-          "Sampled mode evaluates Pr only (Def. 3); SIPr/IIPr need the "
-          "exhaustive matrix");
-    }
-    if (keepMatrix_) {
-      throw std::invalid_argument(
-          "Sampled mode never materializes the matrix; drop keepMatrix or "
-          "use an exhaustive mode");
-    }
     // Traces are memoized once; sampling then draws (q, i) cells lazily
     // without materializing the full matrix.
     std::vector<const isa::Trace*> traces;
@@ -308,10 +293,8 @@ Finding Query::evalOne(exp::ExperimentEngine& engine,
   auto matrix = engine.computeMatrix(*model, w.program, w.inputs);
 
   if (restricted) {
-    const auto qs =
-        effectiveSubset(spec_.stateSubset, matrix.numStates(), "state");
-    const auto is =
-        effectiveSubset(spec_.inputSubset, matrix.numInputs(), "input");
+    const auto qs = effectiveSubset(spec_.stateSubset, matrix.numStates());
+    const auto is = effectiveSubset(spec_.inputSubset, matrix.numInputs());
     f.bcet = ~core::Cycles{0};
     f.wcet = 0;
     for (const auto q : qs) {
@@ -363,13 +346,6 @@ void Query::attachBounds(Finding& f, const WorkloadInstance& w,
                          const std::string& platformName,
                          const exp::PlatformOptions& options) const {
   if (spec_.mode != core::EvalMode::AnalysisBounds) return;
-  // The static bound analyses model the cached in-order pipeline with LRU
-  // must/may classification; other platforms have no sound bounds here.
-  if (platformName != "inorder-lru" && platformName != "inorder-lru-icache") {
-    throw std::invalid_argument(
-        "AnalysisBounds mode models the inorder-lru / inorder-lru-icache "
-        "platforms only, not " + platformName);
-  }
   analysis::BoundsInputs bi;
   bi.pipeConfig = options.inorder;
   bi.dataCacheGeom = options.dataGeom;
@@ -390,6 +366,7 @@ Finding Query::run(exp::ExperimentEngine& engine) const {
   }
   std::optional<WorkloadInstance> storage;
   const auto& w = resolveWorkload(storage);
+  requireRunnable(engine, w);
   return runOne(engine, w, spec_.platforms[0], optionsFor(0));
 }
 
@@ -400,6 +377,7 @@ StudyReport Query::runAll(exp::ExperimentEngine& engine) const {
   // The workload is materialized once and shared across every platform.
   std::optional<WorkloadInstance> storage;
   const auto& w = resolveWorkload(storage);
+  requireRunnable(engine, w);
   StudyReport report;
   report.findings.reserve(spec_.platforms.size());
   for (std::size_t k = 0; k < spec_.platforms.size(); ++k) {
@@ -409,7 +387,54 @@ StudyReport Query::runAll(exp::ExperimentEngine& engine) const {
   return report;
 }
 
+void Query::requireRunnable(exp::ExperimentEngine& engine,
+                            const WorkloadInstance& w) const {
+  const bool restricted =
+      !spec_.stateSubset.empty() || !spec_.inputSubset.empty();
+  if (spec_.mode == core::EvalMode::Sampled) {
+    if (restricted) {
+      throw std::invalid_argument(
+          "uncertainty subsets apply to exhaustive modes only");
+    }
+    if (measuresExplicit_ &&
+        measures_ != std::vector<Measure>{Measure::Pr}) {
+      throw std::invalid_argument(
+          "Sampled mode evaluates Pr only (Def. 3); SIPr/IIPr need the "
+          "exhaustive matrix");
+    }
+    if (keepMatrix_) {
+      throw std::invalid_argument(
+          "Sampled mode never materializes the matrix; drop keepMatrix or "
+          "use an exhaustive mode");
+    }
+  } else if (spec_.mode == core::EvalMode::AnalysisBounds) {
+    // The static bound analyses model the cached in-order pipeline with LRU
+    // must/may classification; other platforms have no sound bounds here.
+    for (const auto& p : spec_.platforms) {
+      if (p != "inorder-lru" && p != "inorder-lru-icache") {
+        throw std::invalid_argument(
+            "AnalysisBounds mode models the inorder-lru / "
+            "inorder-lru-icache platforms only, not " + p);
+      }
+    }
+  }
+  if (!restricted) return;
+  checkSubset(spec_.inputSubset, w.inputs.size(), "input");
+  if (spec_.stateSubset.empty()) return;
+  // |Q| is the model's (presets may clamp numStates), so the check makes
+  // each model; evalOne then takes it from the engine's model cache.
+  for (std::size_t k = 0; k < spec_.platforms.size(); ++k) {
+    const auto model =
+        engine.model(*platforms_, spec_.platforms[k], w.program, optionsFor(k));
+    checkSubset(spec_.stateSubset, model->numStates(), "state");
+  }
+}
+
 void Query::requireShardable() const {
+  if (keepMatrix_) {
+    throw std::invalid_argument(
+        "sharded runs are streaming-only; drop keepMatrix");
+  }
   if (inlineWorkload_) {
     throw std::invalid_argument(
         "sharding needs a registry workload: an inline program cannot be "
@@ -433,88 +458,6 @@ void Query::requireShardable() const {
         "sharding quantifies over the full enumerated axes; drop the "
         "uncertainty subsets");
   }
-}
-
-exp::ShardSpec Query::wholeGridSpec(const WorkloadInstance& w,
-                                    const exp::TimingModel& model,
-                                    const exp::PlatformOptions& options,
-                                    exp::EngineConfig workerEngine) const {
-  // The grid shape comes from the instantiated axes: |Q| from the model
-  // (presets may clamp the requested numStates), |I| from the workload.
-  exp::ShardSpec whole;
-  whole.platform = spec_.platforms[0];
-  whole.workload = spec_.workload;
-  whole.options = options;
-  whole.qEnd = model.numStates();
-  whole.iEnd = w.inputs.size();
-  whole.engine = workerEngine;
-  return whole;
-}
-
-std::vector<exp::ShardSpec> Query::shardPlan(
-    std::size_t shards, exp::EngineConfig workerEngine) const {
-  requireShardable();
-  const auto w = workloads_->make(spec_.workload);
-  const auto options = optionsFor(0);
-  const auto model = platforms_->make(spec_.platforms[0], w.program, options);
-  return exp::planShards(wholeGridSpec(w, *model, options, workerEngine),
-                         shards);
-}
-
-Finding Query::runSharded(exp::ExperimentEngine& engine,
-                          std::size_t shards) const {
-  if (keepMatrix_) {
-    throw std::invalid_argument(
-        "sharded runs are streaming-only; drop keepMatrix");
-  }
-  requireShardable();
-  // Workload, options, and model are instantiated ONCE and shared by the
-  // plan and every shard evaluation.
-  const auto w = workloads_->make(spec_.workload);
-  const auto options = optionsFor(0);
-  const auto model = platforms_->make(spec_.platforms[0], w.program, options);
-  const auto plan = exp::planShards(
-      wholeGridSpec(w, *model, options, engine.config()), shards);
-  // In-process fan-out through the caller's engine, so every shard shares
-  // the memoized trace store; the worker binary evaluates the same specs
-  // with evaluateShard in separate processes.
-  const obs::RunReport before = engine.report();
-  const auto runStart = std::chrono::steady_clock::now();
-  std::vector<core::StreamingMeasures> parts;
-  std::vector<obs::ShardStat> stats;
-  parts.reserve(plan.size());
-  stats.reserve(plan.size());
-  for (const auto& s : plan) {
-    // Per-shard attribution via store-counter deltas: shards sharing one
-    // store means later shards mostly hit what earlier ones computed.
-    const std::uint64_t h0 = engine.traceStore().hits();
-    const std::uint64_t m0 = engine.traceStore().misses();
-    const auto t0 = std::chrono::steady_clock::now();
-    parts.push_back(engine.reduceCellsRange(*model, w.program, w.inputs,
-                                            s.qBegin, s.qEnd, s.iBegin,
-                                            s.iEnd));
-    obs::ShardStat st;
-    st.label = exp::shardLabel(s);
-    st.wallNs = elapsedNs(t0);
-    st.cells = (s.qEnd - s.qBegin) * (s.iEnd - s.iBegin);
-    st.traceHits = engine.traceStore().hits() - h0;
-    st.traceMisses = engine.traceStore().misses() - m0;
-    stats.push_back(std::move(st));
-  }
-  const auto acc = [&] {
-    obs::Span span(&engine.metrics().phase("shard.merge"));
-    return exp::ExperimentEngine::mergeShards(std::move(parts));
-  }();
-  Finding f = detail::streamingFinding(spec_.workload, spec_.platforms[0],
-                                       *model, w.inputs.size(), spec_.mode,
-                                       measures_, acc);
-  obs::RunReport delta = engine.report().deltaSince(before);
-  delta.wallNs = elapsedNs(runStart);
-  delta.platform = reportLabel(spec_.platforms[0]);
-  delta.workload = reportLabel(spec_.workload);
-  delta.shards = std::move(stats);
-  f.report = std::move(delta);
-  return f;
 }
 
 Query compile(const core::QuerySpec& spec, const WorkloadRegistry& workloads,

@@ -17,7 +17,13 @@
 // Exhaustive-mode results are bit-identical to the legacy core:: evaluators
 // on the same matrices (asserted by tests): the study layer adds naming,
 // batching, and provenance, never different arithmetic.
+//
+// run and runAll evaluate in-process; runDistributed is the one way a grid
+// leaves the process — a pred-grid-server splits it across its workers and
+// merges the shards back into the same Finding (study/distributed.h).
 
+#include <chrono>
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -25,7 +31,6 @@
 #include "core/template.h"
 #include "exp/engine.h"
 #include "exp/platform.h"
-#include "exp/shard.h"
 #include "study/finding.h"
 #include "study/workloads.h"
 
@@ -94,41 +99,27 @@ class Query {
   const core::QuerySpec& spec() const { return spec_; }
 
   /// Runs the query on one workload x platform pair.  Throws
-  /// std::invalid_argument if no workload is bound or the query names more
-  /// or fewer than one platform.
+  /// std::invalid_argument if no workload is bound, if the query names more
+  /// or fewer than one platform, or if it cannot run as declared (an
+  /// unsupported mode or an out-of-range subset index) — always before the
+  /// first trace is resolved.
   Finding run(exp::ExperimentEngine& engine) const;
 
   /// Runs the workload against every platform of the query, in declaration
-  /// order.
+  /// order.  Checks every platform as run() does before running any.
   StudyReport runAll(exp::ExperimentEngine& engine) const;
 
-  /// The process-sharding plan of this query's Q×I grid: `shards` disjoint
-  /// rectangular ShardSpecs covering it, smallest-index-first, each
-  /// carrying the platform preset + options, the workload name, and
-  /// `workerEngine` as the worker-side engine config — serializable and
-  /// shippable to pred-shard-worker processes.  Requires a REGISTRY
-  /// workload (an inline program cannot cross a process boundary by name),
-  /// exactly one platform, Exhaustive mode, and no uncertainty subsets;
-  /// throws std::invalid_argument otherwise.
-  std::vector<exp::ShardSpec> shardPlan(
-      std::size_t shards, exp::EngineConfig workerEngine = {}) const;
-
-  /// Sharded evaluation: partitions the grid via shardPlan, evaluates each
-  /// shard through `engine` (in-process fan-out; the subprocess fan-out is
-  /// scripts/shard_run.sh over the same specs), and merges the accumulators
-  /// smallest-index-first.  The Finding is identical to run()'s —
-  /// value-for-value and witness-for-witness, for any shard count, because
-  /// the merge is order-independent (asserted in tests/shard_test.cpp).
-  Finding runSharded(exp::ExperimentEngine& engine, std::size_t shards) const;
-
-  /// Distributed evaluation: ships the whole-grid ShardSpec to a
-  /// pred-grid-server through `client`, which schedules it across its
-  /// worker fleet (split `shards` ways) and streams back the merged
-  /// accumulator.  The Finding is identical to run()'s — the server-side
-  /// merge is the same order-independent mergeShards — and a repeated
-  /// query is answered from the server's content-addressed result cache
-  /// (Finding::report carries a "grid.cache.hit" counter; `useCache`
-  /// false forces recomputation).  Same preconditions as runSharded.
+  /// Distributed evaluation, the one way a grid leaves the process: ships
+  /// the whole-grid ShardSpec to a pred-grid-server through `client`, which
+  /// schedules it across its worker fleet (split `shards` ways) and streams
+  /// back the merged accumulator.  The Finding is identical to run()'s —
+  /// the server-side merge is the order-independent mergeShards — and a
+  /// repeated query is answered from the server's content-addressed result
+  /// cache (Finding::report carries a "grid.cache.hit" counter; `useCache`
+  /// false forces recomputation).  Requires a REGISTRY workload (an inline
+  /// program cannot be named to a worker process), exactly one platform,
+  /// Exhaustive mode, no uncertainty subsets and no keepMatrix; throws
+  /// std::invalid_argument, before contacting the server, otherwise.
   /// Implemented in study/distributed.cpp.
   Finding runDistributed(grid::GridClient& client, std::size_t shards,
                          bool useCache = true) const;
@@ -148,14 +139,15 @@ class Query {
                  const std::string& platform,
                  const exp::PlatformOptions& options) const;
   /// Throws std::invalid_argument unless this query can shard: registry
-  /// workload, exactly one platform, Exhaustive mode, no subsets.
+  /// workload, exactly one platform, Exhaustive mode, no subsets, no
+  /// keepMatrix.
   void requireShardable() const;
-  /// The whole-grid ShardSpec of this query over the already-instantiated
-  /// axes (|Q| from the model, |I| from the workload).
-  exp::ShardSpec wholeGridSpec(const WorkloadInstance& w,
-                               const exp::TimingModel& model,
-                               const exp::PlatformOptions& options,
-                               exp::EngineConfig workerEngine) const;
+  /// Throws std::invalid_argument if any part of the query cannot run:
+  /// Sampled-mode restrictions, a platform without a bound analysis in
+  /// AnalysisBounds mode, or a subset index outside |Q| (every platform's
+  /// model) or |I|.  run and runAll call it before resolving any trace.
+  void requireRunnable(exp::ExperimentEngine& engine,
+                       const WorkloadInstance& w) const;
   /// AnalysisBounds tail shared by the streaming and matrix paths: attaches
   /// the Figure-1 decomposition computed from the finding's BCET/WCET.
   void attachBounds(Finding& f, const WorkloadInstance& w,
@@ -180,6 +172,14 @@ class Query {
 };
 
 namespace detail {
+
+/// A name as a RunReport label, which is one wire token: registry names
+/// already are, but inline workload labels are free-form, so whitespace
+/// maps to '_' (and an empty name to "-").
+std::string reportLabel(const std::string& s);
+
+/// Nanoseconds since `start` on the steady clock.
+std::uint64_t elapsedNs(std::chrono::steady_clock::time_point start);
 
 /// The fields every evaluation path of one workload × platform cell fills
 /// identically (names, shape, mode, state labels).

@@ -1147,33 +1147,43 @@ TEST(GridQuery, RunDistributedMatchesRunAndReportsTheCacheHit) {
                          .platform("ooo-fifo")
                          .mode(study::Exhaustive{});
   const auto reference = query.run(engine);
+  // Field for field against run(), and the report's cache-hit flag.
+  const auto expectMatchesRun = [&](const study::Finding& finding,
+                                    std::uint64_t cacheHit,
+                                    const std::string& label) {
+    EXPECT_EQ(finding.workload, reference.workload) << label;
+    EXPECT_EQ(finding.platform, reference.platform) << label;
+    EXPECT_EQ(finding.numStates, reference.numStates) << label;
+    EXPECT_EQ(finding.numInputs, reference.numInputs) << label;
+    EXPECT_EQ(finding.bcet, reference.bcet) << label;
+    EXPECT_EQ(finding.wcet, reference.wcet) << label;
+    EXPECT_EQ(finding.stateLabels, reference.stateLabels) << label;
+    expectSamePredictabilityValue(finding.pr, reference.pr, label);
+    expectSamePredictabilityValue(finding.sipr, reference.sipr, label);
+    expectSamePredictabilityValue(finding.iipr, reference.iipr, label);
+    ASSERT_TRUE(finding.report.has_value()) << label;
+    EXPECT_EQ(finding.report->counters.at("grid.cache.hit"), cacheHit)
+        << label;
+  };
 
   // The server handles connections sequentially, so close this client's
   // connection (scope exit) before the endpoint-overload call below dials
   // its own.
   {
     grid::GridClient client(fixture.endpoint());
+    // First submission computes, later ones hit the cache (the shard
+    // count is a scheduling knob, so shards=3 shares shards=1's address).
     for (const std::size_t shards : {1u, 3u}) {
-      const auto finding = query.runDistributed(client, shards);
-      const std::string label = "shards=" + std::to_string(shards);
-      EXPECT_EQ(finding.workload, reference.workload) << label;
-      EXPECT_EQ(finding.platform, reference.platform) << label;
-      EXPECT_EQ(finding.numStates, reference.numStates) << label;
-      EXPECT_EQ(finding.numInputs, reference.numInputs) << label;
-      EXPECT_EQ(finding.bcet, reference.bcet) << label;
-      EXPECT_EQ(finding.wcet, reference.wcet) << label;
-      EXPECT_EQ(finding.stateLabels, reference.stateLabels) << label;
-      expectSamePredictabilityValue(finding.pr, reference.pr, label);
-      expectSamePredictabilityValue(finding.sipr, reference.sipr, label);
-      expectSamePredictabilityValue(finding.iipr, reference.iipr, label);
-
-      // First submission computes, later ones hit the cache (the shard
-      // count is a scheduling knob, so shards=3 shares shards=1's
-      // address); the Finding's report carries the flag either way.
-      ASSERT_TRUE(finding.report.has_value()) << label;
-      EXPECT_EQ(finding.report->counters.at("grid.cache.hit"),
-                shards == 1 ? 0u : 1u)
-          << label;
+      expectMatchesRun(query.runDistributed(client, shards),
+                       shards == 1 ? 0u : 1u,
+                       "shards=" + std::to_string(shards));
+    }
+    // Uncached submits recompute, so every split is merged afresh from
+    // the workers' shards and must still equal run().
+    for (const std::size_t shards : {2u, 3u, 8u}) {
+      expectMatchesRun(
+          query.runDistributed(client, shards, /*useCache=*/false), 0u,
+          "uncached shards=" + std::to_string(shards));
     }
   }
 
@@ -1183,6 +1193,45 @@ TEST(GridQuery, RunDistributedMatchesRunAndReportsTheCacheHit) {
   EXPECT_EQ(viaEndpoint.report->counters.at("grid.cache.hit"), 1u);
   EXPECT_EQ(viaEndpoint.bcet, reference.bcet);
   EXPECT_EQ(viaEndpoint.wcet, reference.wcet);
+}
+
+TEST(GridQuery, RunDistributedRejectsUnshardableQueriesBeforeSubmitting) {
+  InProcessServer fixture(/*workers=*/2);
+  grid::GridClient client(fixture.endpoint());
+  // Inline workloads cannot be named across a process boundary.
+  const auto w = study::WorkloadRegistry::instance().make("sum-16");
+  EXPECT_THROW(study::Query()
+                   .workload("inline", w.program, w.inputs)
+                   .platform("inorder-lru")
+                   .runDistributed(client, 4),
+               std::invalid_argument);
+  // Sampled mode has no mergeable exhaustive accumulator.
+  EXPECT_THROW(study::Query()
+                   .workload("bubblesort-8")
+                   .platform("inorder-lru")
+                   .mode(study::Sampled{16, 1})
+                   .runDistributed(client, 4),
+               std::invalid_argument);
+  // Exactly one platform.
+  EXPECT_THROW(study::Query()
+                   .workload("bubblesort-8")
+                   .platform("inorder-lru")
+                   .platform("ooo-fifo")
+                   .runDistributed(client, 4),
+               std::invalid_argument);
+  // Uncertainty subsets restrict the quantified axes; a grid job covers
+  // the full grid.
+  EXPECT_THROW(study::Query()
+                   .workload("bubblesort-8")
+                   .platform("inorder-lru")
+                   .uncertainty({0, 1}, {})
+                   .runDistributed(client, 4),
+               std::invalid_argument);
+  // None of them reached the server.
+  const auto stats = client.stats();
+  EXPECT_EQ(stats.counters.at("grid.jobs"), 0u);
+  EXPECT_EQ(stats.counters.at("grid.jobs.failed"), 0u);
+  EXPECT_EQ(stats.counters.at("grid.cache.misses"), 0u);
 }
 
 }  // namespace

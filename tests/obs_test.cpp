@@ -436,21 +436,43 @@ TEST(EngineReport, NormalizedReportIsByteStableAcrossIdenticalRuns) {
 }
 
 TEST(EngineReport, ShardedRunAttachesPerShardStats) {
+  // A grid planned into shards, each evaluated on one warm engine with its
+  // self-report, and the reports folded by mergeFleet: the fold the grid
+  // scheduler runs on every job.
+  const auto w = study::WorkloadRegistry::instance().make("bubblesort-8");
+  exp::ShardSpec whole;
+  whole.platform = "inorder-lru";
+  whole.workload = "bubblesort-8";
+  whole.qEnd = exp::PlatformRegistry::instance()
+                   .make(whole.platform, w.program, whole.options)
+                   ->numStates();
+  whole.iEnd = w.inputs.size();
   exp::EngineConfig cfg;
   cfg.threads = 1;
   exp::ExperimentEngine engine(cfg);
-  const auto query = study::Query()
-                         .workload("bubblesort-8")
-                         .platform("inorder-lru")
-                         .mode(study::Exhaustive{});
-  const auto f = query.runSharded(engine, 3);
-  ASSERT_TRUE(f.report.has_value());
-  ASSERT_EQ(f.report->shards.size(), 3u);
+  const auto plan = exp::planShards(whole, 3);
+  std::vector<obs::RunReport> parts;
+  for (const auto& s : plan) {
+    obs::RunReport r;
+    exp::evaluateShard(engine, s, w.program, w.inputs,
+                       exp::PlatformRegistry::instance(), &r);
+    parts.push_back(std::move(r));
+  }
+  const obs::RunReport fleet = obs::mergeFleet(parts);
+  ASSERT_EQ(fleet.shards.size(), 3u);
   std::uint64_t cells = 0;
-  for (const auto& s : f.report->shards) cells += s.cells;
-  EXPECT_EQ(cells, static_cast<std::uint64_t>(f.numStates * f.numInputs));
+  for (std::size_t k = 0; k < plan.size(); ++k) {
+    EXPECT_EQ(fleet.shards[k].label, exp::shardLabel(plan[k]));
+    cells += fleet.shards[k].cells;
+  }
+  EXPECT_EQ(cells, static_cast<std::uint64_t>(whole.qEnd * whole.iEnd));
+  // The shards share the engine's store: the first resolves every input,
+  // the later state bands only hit.
+  EXPECT_EQ(fleet.counter("trace_store.misses"),
+            engine.traceStore().misses());
+  EXPECT_EQ(fleet.shards[1].traceMisses + fleet.shards[2].traceMisses, 0u);
   // Its wire form is a valid report (labels are single tokens).
-  EXPECT_NO_THROW(obs::RunReport::deserialize(f.report->serialize()));
+  EXPECT_NO_THROW(obs::RunReport::deserialize(fleet.serialize()));
 }
 
 TEST(EngineReport, EvaluateShardFillsTheSelfReport) {

@@ -5,7 +5,9 @@
 // witness, because the smallest-index tie-break makes the merge
 // order-independent.  Plus the wire formats both sides of a process
 // boundary depend on: ShardSpec and StreamingMeasures round-trips, and
-// strict parse errors on malformed input.
+// strict parse errors on malformed input.  The same merge behind the one
+// fan-out a Query has, Query::runDistributed, is checked against
+// Query::run in grid_test.cpp (GridQuery).
 
 #include <gtest/gtest.h>
 
@@ -20,7 +22,6 @@
 #include "exp/engine.h"
 #include "exp/platform.h"
 #include "exp/shard.h"
-#include "study/query.h"
 #include "study/workloads.h"
 #include "witness_expect.h"
 
@@ -200,29 +201,6 @@ TEST(ShardIdentity, MergeIsOrderIndependent) {
                   .identicalTo(single));
 }
 
-TEST(ShardIdentity, QueryRunShardedMatchesRun) {
-  exp::ExperimentEngine engine;
-  const auto query = study::Query()
-                         .workload("bubblesort-8")
-                         .platform("ooo-fifo")
-                         .mode(study::Exhaustive{});
-  const auto reference = query.run(engine);
-  for (const std::size_t k : {1u, 2u, 3u, 8u}) {
-    const auto sharded = query.runSharded(engine, k);
-    const std::string label = "k=" + std::to_string(k);
-    EXPECT_EQ(sharded.workload, reference.workload) << label;
-    EXPECT_EQ(sharded.platform, reference.platform) << label;
-    EXPECT_EQ(sharded.numStates, reference.numStates) << label;
-    EXPECT_EQ(sharded.numInputs, reference.numInputs) << label;
-    EXPECT_EQ(sharded.bcet, reference.bcet) << label;
-    EXPECT_EQ(sharded.wcet, reference.wcet) << label;
-    EXPECT_EQ(sharded.stateLabels, reference.stateLabels) << label;
-    expectSamePredictabilityValue(sharded.pr, reference.pr, label);
-    expectSamePredictabilityValue(sharded.sipr, reference.sipr, label);
-    expectSamePredictabilityValue(sharded.iipr, reference.iipr, label);
-  }
-}
-
 TEST(ShardPlan, CoversTheGridDisjointlySmallestIndexFirst) {
   ShardSpec whole;
   whole.platform = "inorder-lru";
@@ -238,6 +216,9 @@ TEST(ShardPlan, CoversTheGridDisjointlySmallestIndexFirst) {
     for (const auto& s : plan) {
       EXPECT_EQ(s.platform, whole.platform);
       EXPECT_EQ(s.workload, whole.workload);
+      // Every planned spec can cross a process boundary bit-for-bit.
+      const auto text = exp::serializeShardSpec(s);
+      EXPECT_EQ(exp::serializeShardSpec(exp::parseShardSpec(text)), text);
       ASSERT_LT(s.qBegin, s.qEnd) << k;
       ASSERT_LE(s.qEnd, 7u) << k;
       ASSERT_LT(s.iBegin, s.iEnd) << k;
@@ -477,50 +458,6 @@ TEST(ShardSpecWire, UnknownPresetNamesFailAtEvaluateWithClearErrors) {
   spec.iEnd = w.inputs.size() + 1;
   EXPECT_THROW(exp::evaluateShard(spec, w.program, w.inputs),
                std::invalid_argument);
-}
-
-TEST(ShardPlanQuery, RequiresShardableQueries) {
-  exp::ExperimentEngine engine;
-  // Inline workloads cannot be named across a process boundary.
-  auto w = study::WorkloadRegistry::instance().make("sum-16");
-  EXPECT_THROW(study::Query()
-                   .workload("inline", w.program, w.inputs)
-                   .platform("inorder-lru")
-                   .shardPlan(4),
-               std::invalid_argument);
-  // Sampled mode has no mergeable exhaustive accumulator.
-  EXPECT_THROW(study::Query()
-                   .workload("bubblesort-8")
-                   .platform("inorder-lru")
-                   .mode(study::Sampled{16, 1})
-                   .shardPlan(4),
-               std::invalid_argument);
-  // Exactly one platform.
-  EXPECT_THROW(study::Query()
-                   .workload("bubblesort-8")
-                   .platform("inorder-lru")
-                   .platform("ooo-fifo")
-                   .shardPlan(4),
-               std::invalid_argument);
-  // Uncertainty subsets restrict the quantified axes; sharding covers the
-  // full grid.
-  EXPECT_THROW(study::Query()
-                   .workload("bubblesort-8")
-                   .platform("inorder-lru")
-                   .uncertainty({0, 1}, {})
-                   .shardPlan(4),
-               std::invalid_argument);
-  // The happy path serializes: every planned spec survives a wire round
-  // trip bit-for-bit.
-  const auto plan = study::Query()
-                        .workload("bubblesort-8")
-                        .platform("ooo-fifo")
-                        .shardPlan(3, engine.config());
-  ASSERT_EQ(plan.size(), 3u);
-  for (const auto& s : plan) {
-    const auto text = exp::serializeShardSpec(s);
-    EXPECT_EQ(exp::serializeShardSpec(exp::parseShardSpec(text)), text);
-  }
 }
 
 TEST(MeasuresWire, RoundTripsRandomTiedGrids) {

@@ -176,6 +176,13 @@ TEST(Query, AnalysisBoundsModeAttachesWellFormedDecomposition) {
   EXPECT_EQ(f.provenance, core::Inherence::Exhaustive);
 }
 
+/// A query rejected up front never reached the engine's walk.
+void expectNothingRan(exp::ExperimentEngine& engine) {
+  EXPECT_EQ(engine.gridWalks(), 0u);
+  EXPECT_EQ(engine.matrixBuilds(), 0u);
+  EXPECT_EQ(engine.traceStore().misses(), 0u);
+}
+
 TEST(Query, AnalysisBoundsRejectsUnmodeledPlatforms) {
   const auto s = smallSystem();
   exp::ExperimentEngine engine;
@@ -185,6 +192,16 @@ TEST(Query, AnalysisBoundsRejectsUnmodeledPlatforms) {
                    .mode(AnalysisBounds{})
                    .run(engine),
                std::invalid_argument);
+  // runAll checks every platform before running the first, so a modeled
+  // platform ahead of the unmodeled one does not run either.
+  EXPECT_THROW(Query()
+                   .workload("w", s.prog, s.inputs)
+                   .platform("inorder-lru", s.opts)
+                   .platform("pret", s.opts)
+                   .mode(AnalysisBounds{})
+                   .runAll(engine),
+               std::invalid_argument);
+  expectNothingRan(engine);
 }
 
 TEST(Query, DeclarationErrorsAreRejectedEagerly) {
@@ -206,6 +223,7 @@ TEST(Query, DeclarationErrorsAreRejectedEagerly) {
                    .uncertainty({99}, {})
                    .run(engine),
                std::invalid_argument);  // subset out of range
+  expectNothingRan(engine);
 }
 
 TEST(WorkloadRegistry, PresetsAreValidAndSorted) {

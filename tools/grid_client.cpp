@@ -3,7 +3,7 @@
 // Three subcommands over grid::GridClient (src/grid/client.h):
 //
 //   submit    build the whole-grid ShardSpec of a (platform, workload)
-//             pair — the same instantiation pred-shard-worker uses — ship
+//             pair — the grid `pred-shard-worker single` evaluates — ship
 //             it, and print the merged accumulator bytes on stdout (or
 //             --out).  stdout carries ONLY the accumulator, so smokes can
 //             diff it byte-for-byte against `pred-shard-worker single`;
@@ -135,8 +135,8 @@ int cmdSubmit(const std::vector<std::string>& args) {
     throw std::invalid_argument(
         "--connect, --platform, and --workload are required");
 
-  // The same whole-grid instantiation the worker binary performs: |Q| from
-  // the model preset, |I| from the workload.
+  // The whole grid `pred-shard-worker single` reduces: |Q| from the model
+  // preset, |I| from the workload.
   exp::ShardSpec whole;
   whole.platform = platform;
   whole.workload = workload;
