@@ -2,16 +2,21 @@
 // future work (compositional predictability) and Section 4 related-work
 // notions evaluated on the same executable systems.
 
-#include "analysis/exhaustive.h"
+#include <algorithm>
+
 #include "analysis/wcet_bounds.h"
 #include "bench_common.h"
+#include "cache/set_assoc.h"
 #include "core/composition.h"
 #include "core/definitions.h"
 #include "core/related.h"
 #include "core/report.h"
+#include "exp/engine.h"
+#include "exp/platform.h"
 #include "isa/exec.h"
 #include "isa/workloads.h"
 #include "pipeline/domino_program.h"
+#include "pipeline/inorder.h"
 #include "pipeline/memory_iface.h"
 
 namespace {
@@ -32,10 +37,26 @@ void runComposition() {
   const cache::CacheTiming iTiming{0, 6};
   pipeline::InOrderConfig cfg;
 
-  const auto setup = analysis::exhaustiveInOrderWithICache(
-      prog, {isa::Input{}}, dGeom, iGeom, cache::Policy::LRU, dTiming,
-      iTiming, 12, 5, cfg);
-  const auto systemSipr = core::stateInducedPredictability(setup.matrix);
+  // Paired (dcache, icache) states, warmed as the inorder-lru-icache preset
+  // warms them; the whole system is timed from each pair.
+  const int numStates = 12;
+  const std::uint64_t seed = 5;
+  const auto dStates = cache::enumerateInitialStates(
+      dGeom, cache::Policy::LRU, dTiming, numStates, seed,
+      std::min(prog.layout.memWords, 8 * dGeom.capacityWords()));
+  const auto iStates = cache::enumerateInitialStates(
+      iGeom, cache::Policy::LRU, iTiming, numStates, seed * 31 + 7,
+      std::max<std::int64_t>(static_cast<std::int64_t>(prog.size()),
+                             2 * iGeom.capacityWords()));
+  const auto systemMatrix = core::TimingMatrix::compute(
+      [&](std::size_t q, std::size_t) {
+        pipeline::CachedMemory dmem(dStates[q]);
+        pipeline::CachedMemory imem(iStates[q]);
+        pipeline::InOrderPipeline pipe(cfg, &dmem, nullptr, &imem);
+        return pipe.run(trace);
+      },
+      dStates.size(), 1);
+  const auto systemSipr = core::stateInducedPredictability(systemMatrix);
 
   // Component ranges from replaying the trace through each unit alone.
   Cycles computeCost = 0;
@@ -45,15 +66,15 @@ void runComposition() {
     computeCost = pipe.run(trace);
   }
   Cycles dLo = ~Cycles{0}, dHi = 0, iLo = ~Cycles{0}, iHi = 0;
-  for (const auto& st : setup.states) {
-    cache::SetAssocCache dc = st.cache;
+  for (std::size_t q = 0; q < dStates.size(); ++q) {
+    cache::SetAssocCache dc = dStates[q];
     Cycles dCost = 0;
     for (const auto& rec : trace) {
       if (rec.memWordAddr >= 0) dCost += dc.access(rec.memWordAddr).latency;
     }
     dLo = std::min(dLo, dCost);
     dHi = std::max(dHi, dCost);
-    cache::SetAssocCache ic = *st.icache;
+    cache::SetAssocCache ic = iStates[q];
     Cycles iCost = 0;
     for (const auto& rec : trace) iCost += ic.access(rec.pc).latency;
     iLo = std::min(iLo, iCost);
@@ -124,19 +145,25 @@ void runRelated() {
   for (auto& in : inputs) {
     in = isa::mergeInputs(in, isa::varInput(prog, "key", 4));
   }
-  const auto setup = analysis::exhaustiveInOrder(
-      prog, inputs, bi.dataCacheGeom, cache::Policy::LRU, bi.cacheTiming, 8,
-      11, bi.pipeConfig);
-  const auto d = analysis::figure1Decomposition(
-      cfg, bi, setup.matrix.bcet(), setup.matrix.wcet());
+  exp::PlatformOptions opts;
+  opts.numStates = 8;
+  opts.seed = 11;
+  opts.dataGeom = bi.dataCacheGeom;
+  opts.dataTiming = bi.cacheTiming;
+  opts.inorder = bi.pipeConfig;
+  const auto model =
+      exp::PlatformRegistry::instance().make("inorder-lru", prog, opts);
+  exp::ExperimentEngine engine;
+  const auto m = engine.computeMatrix(*model, prog, inputs);
+  const auto d = analysis::figure1Decomposition(cfg, bi, m.bcet(), m.wcet());
 
   std::printf("\nlinear search on in-order + LRU (the Figure-1 system):\n");
   bench::printKV("Thiele/Wilhelm [26] (analysis-relative)",
                  core::thieleWilhelm(d).summary());
   bench::printKV("Kirner/Puschner [11] holistic",
-                 core::kirnerPuschnerHolistic(setup.matrix, d).summary());
+                 core::kirnerPuschnerHolistic(m, d).summary());
   bench::printKV("paper's inherent Pr (Def. 3)",
-                 core::fmt(core::timingPredictability(setup.matrix).value, 4));
+                 core::fmt(core::timingPredictability(m).value, 4));
   std::printf(
       "the Thiele/Wilhelm gaps measure the ANALYSIS, the paper's Pr the\n"
       "SYSTEM; the holistic notion multiplies both — Section 4's landscape\n"

@@ -8,35 +8,41 @@
 //     predictability (min over a subset) — quantified;
 //   * ratio vs range vs variance quality measures side by side.
 
-#include "analysis/exhaustive.h"
 #include "bench_common.h"
 #include "core/definitions.h"
 #include "core/measures.h"
 #include "core/report.h"
+#include "exp/engine.h"
+#include "exp/platform.h"
 #include "isa/workloads.h"
 
 namespace {
 
 using namespace pred;
 
-analysis::ExhaustiveSetup makeSystem() {
+/// The full |Q| x |I| matrix: the subset, sampling and quality-measure
+/// ablations below all read cells of it.
+core::TimingMatrix makeSystem() {
   const auto prog = isa::ast::compileBranchy(isa::workloads::linearSearch(10));
   auto inputs = isa::workloads::randomArrayInputs(prog, "a", 10, 16, 42, 10);
   for (auto& in : inputs) {
     in = isa::mergeInputs(in, isa::varInput(prog, "key", 4));
   }
-  return analysis::exhaustiveInOrder(prog, inputs,
-                                     cache::CacheGeometry{4, 8, 2},
-                                     cache::Policy::LRU,
-                                     cache::CacheTiming{1, 10}, 12, 7,
-                                     pipeline::InOrderConfig{});
+  exp::PlatformOptions opts;
+  opts.numStates = 12;
+  opts.seed = 7;
+  opts.dataGeom = cache::CacheGeometry{4, 8, 2};
+  opts.dataTiming = cache::CacheTiming{1, 10};
+  const auto model =
+      exp::PlatformRegistry::instance().make("inorder-lru", prog, opts);
+  exp::ExperimentEngine engine;
+  return engine.computeMatrix(*model, prog, inputs);
 }
 
 void runDefs() {
   bench::printHeader("Definitions 3-5", "properties and ablations");
 
-  const auto setup = makeSystem();
-  const auto& m = setup.matrix;
+  const auto m = makeSystem();
 
   const auto pr = core::timingPredictability(m);
   const auto si = core::stateInducedPredictability(m);
@@ -100,11 +106,11 @@ void runDefs() {
 }
 
 void BM_DefinitionEvaluators(benchmark::State& state) {
-  const auto setup = makeSystem();
+  const auto m = makeSystem();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::timingPredictability(setup.matrix));
-    benchmark::DoNotOptimize(core::stateInducedPredictability(setup.matrix));
-    benchmark::DoNotOptimize(core::inputInducedPredictability(setup.matrix));
+    benchmark::DoNotOptimize(core::timingPredictability(m));
+    benchmark::DoNotOptimize(core::stateInducedPredictability(m));
+    benchmark::DoNotOptimize(core::inputInducedPredictability(m));
   }
 }
 BENCHMARK(BM_DefinitionEvaluators);

@@ -166,7 +166,9 @@ class ExperimentEngine {
 
   /// reduceCells restricted to the half-open sub-rectangle
   /// [qBegin, qEnd) × [iBegin, iEnd) of the FULL grid — the per-shard
-  /// evaluation of the process-sharded substrate (exp/shard.h).  The
+  /// evaluation of the process-sharded substrate (exp/shard.h), and the
+  /// walk of every in-process exhaustive Query: one call over the whole
+  /// grid, or one per rectangle of its uncertainty subsets.  The
   /// returned accumulator keeps the full |Q|×|I| shape and global indices,
   /// with only the sub-rectangle's cells fed, so shard accumulators merge
   /// into exactly the single-process reduceCells result (values AND
@@ -222,9 +224,10 @@ class ExperimentEngine {
   int resolvedThreads() const;
 
   /// Dense |Q|×|I| matrices materialized by this engine so far — the
-  /// streaming-path tests assert this stays 0 for keepMatrices=false
-  /// queries.  (Thin shim over the "engine.matrix_builds" registry counter;
-  /// kept so existing callers and tests are untouched by the obs layer.)
+  /// streaming-path tests assert this stays 0 for queries without
+  /// keepMatrix, subset queries included.  (Thin shim over the
+  /// "engine.matrix_builds" registry counter; kept so existing callers and
+  /// tests are untouched by the obs layer.)
   std::uint64_t matrixBuilds() const { return cMatrixBuilds_->value(); }
 
   /// Tiled grid walks issued by this engine so far (one per matrix or

@@ -114,9 +114,7 @@ class TimingModel {
 
 /// In-order pipeline over explicit snapshot states: data cache, optional
 /// I-cache, optional predictor prototype (cloned per evaluation).  The
-/// cached in-order presets build on this, and analysis::timingMatrixInOrder
-/// delegates to it, so the engine and the legacy exhaustive path share one
-/// per-cell evaluator.
+/// cached in-order presets build on this.
 class InOrderSnapshotModel : public TimingModel {
  public:
   struct State {

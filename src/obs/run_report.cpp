@@ -79,7 +79,9 @@ RunReport RunReport::deltaSince(const RunReport& before) const {
       it->second.totalNs =
           saturatingSub(it->second.totalNs, bit->second.totalNs);
     }
-    // maxNs keeps the after value: a max cannot be un-observed.
+    // The lifetime max may predate the window; no span in it exceeds the
+    // window's total.
+    it->second.maxNs = std::min(it->second.maxNs, it->second.totalNs);
     it = it->second.count == 0 ? d.phases.erase(it) : std::next(it);
   }
   for (std::size_t w = 0; w < d.workers.size(); ++w) {

@@ -80,9 +80,11 @@ struct RunReport {
   /// This report minus `before` — the per-run delta of two cumulative
   /// engine snapshots.  Counters, phase counts/totals, and worker fields
   /// subtract (saturating at 0, so a registry reset between snapshots
-  /// cannot underflow); phases whose count did not advance are dropped;
-  /// maxNs keeps this report's value (a max cannot be un-observed);
-  /// labels, wallNs, and shards keep this report's values.
+  /// cannot underflow); phases whose count did not advance are dropped.
+  /// A max cannot be subtracted, so maxNs is this report's lifetime max
+  /// capped at the delta's totalNs: exact when the max rose during the
+  /// window, an upper bound on the window's slowest span otherwise.
+  /// Labels, wallNs, and shards keep this report's values.
   RunReport deltaSince(const RunReport& before) const;
 
   /// Copy with every nondeterministic field zeroed: wallNs, phase

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <numeric>
 #include <stdexcept>
 #include <utility>
 
@@ -26,13 +25,42 @@ void checkSubset(const std::vector<std::size_t>& sub, std::size_t n,
   }
 }
 
-/// 0..n-1 when `sub` is empty; otherwise `sub` (checked by checkSubset).
-std::vector<std::size_t> effectiveSubset(const std::vector<std::size_t>& sub,
-                                         std::size_t n) {
-  if (!sub.empty()) return sub;
-  std::vector<std::size_t> all(n);
-  std::iota(all.begin(), all.end(), std::size_t{0});
-  return all;
+/// A half-open index range [first, second) of one axis.
+using Run = std::pair<std::size_t, std::size_t>;
+
+/// The runs of consecutive indices in `sub`, sorted, repeats dropped; the
+/// whole axis [0, n) when `sub` is empty.
+std::vector<Run> runsOf(std::vector<std::size_t> sub, std::size_t n) {
+  if (sub.empty()) return {{0, n}};
+  std::sort(sub.begin(), sub.end());
+  std::vector<Run> runs;
+  for (const auto k : sub) {
+    if (runs.empty() || k > runs.back().second) {
+      runs.emplace_back(k, k + 1);
+    } else {
+      runs.back().second = k + 1;  // extends the run, or repeats its end
+    }
+  }
+  return runs;
+}
+
+/// The fields every evaluation path of one workload × platform cell fills
+/// identically (names, shape, mode, state labels).
+Finding findingHeader(const std::string& workload,
+                      const std::string& platform,
+                      const exp::TimingModel& model, std::size_t numInputs,
+                      core::EvalMode mode) {
+  Finding f;
+  f.workload = workload;
+  f.platform = platform;
+  f.numStates = model.numStates();
+  f.numInputs = numInputs;
+  f.mode = mode;
+  f.stateLabels.reserve(model.numStates());
+  for (std::size_t q = 0; q < model.numStates(); ++q) {
+    f.stateLabels.push_back(model.stateLabel(q));
+  }
+  return f;
 }
 
 }  // namespace
@@ -53,23 +81,6 @@ std::uint64_t elapsedNs(std::chrono::steady_clock::time_point start) {
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - start)
           .count());
-}
-
-Finding findingHeader(const std::string& workload,
-                      const std::string& platform,
-                      const exp::TimingModel& model, std::size_t numInputs,
-                      core::EvalMode mode) {
-  Finding f;
-  f.workload = workload;
-  f.platform = platform;
-  f.numStates = model.numStates();
-  f.numInputs = numInputs;
-  f.mode = mode;
-  f.stateLabels.reserve(model.numStates());
-  for (std::size_t q = 0; q < model.numStates(); ++q) {
-    f.stateLabels.push_back(model.stateLabel(q));
-  }
-  return f;
 }
 
 Finding streamingFinding(const std::string& workload,
@@ -248,8 +259,8 @@ Finding Query::evalOne(exp::ExperimentEngine& engine,
       engine.model(*platforms_, platformName, w.program, options);
 
   if (spec_.mode == core::EvalMode::Sampled) {
-    Finding f = detail::findingHeader(spec_.workload, platformName, *model,
-                                      w.inputs.size(), spec_.mode);
+    Finding f = findingHeader(spec_.workload, platformName, *model,
+                              w.inputs.size(), spec_.mode);
     // Traces are memoized once; sampling then draws (q, i) cells lazily
     // without materializing the full matrix.
     std::vector<const isa::Trace*> traces;
@@ -273,72 +284,37 @@ Finding Query::evalOne(exp::ExperimentEngine& engine,
     return f;
   }
 
-  const bool restricted =
-      !spec_.stateSubset.empty() || !spec_.inputSubset.empty();
-
-  if (!restricted && !keepMatrix_) {
-    // Streaming path: the engine folds cells into online accumulators and
-    // never materializes the |Q| x |I| matrix (bit-identical to the matrix
-    // evaluators, witnesses included — asserted in tests).
-    const auto acc = engine.reduceCells(*model, w.program, w.inputs);
-    Finding f =
-        detail::streamingFinding(spec_.workload, platformName, *model,
-                                 w.inputs.size(), spec_.mode, measures_, acc);
-    attachBounds(f, w, platformName, options);
-    return f;
-  }
-
-  Finding f = detail::findingHeader(spec_.workload, platformName, *model,
-                                    w.inputs.size(), spec_.mode);
-  auto matrix = engine.computeMatrix(*model, w.program, w.inputs);
-
-  if (restricted) {
-    const auto qs = effectiveSubset(spec_.stateSubset, matrix.numStates());
-    const auto is = effectiveSubset(spec_.inputSubset, matrix.numInputs());
-    f.bcet = ~core::Cycles{0};
-    f.wcet = 0;
-    for (const auto q : qs) {
-      for (const auto i : is) {
-        const auto t = matrix.at(q, i);
-        f.bcet = std::min(f.bcet, t);
-        f.wcet = std::max(f.wcet, t);
+  // Every exhaustive Finding is read off one accumulator.  A subset is
+  // walked as the rectangles its runs of consecutive indices span, merged
+  // the way shards merge, so witnesses are the smallest attaining indices
+  // whatever the order of the subset lists.  keepMatrix feeds the same
+  // rectangles from the kept matrix instead of walking them again.
+  std::optional<core::TimingMatrix> matrix;
+  if (keepMatrix_) matrix = engine.computeMatrix(*model, w.program, w.inputs);
+  const auto rect = [&](Run qr, Run ir) {
+    if (!matrix) {
+      return engine.reduceCellsRange(*model, w.program, w.inputs, qr.first,
+                                     qr.second, ir.first, ir.second);
+    }
+    core::StreamingMeasures acc(matrix->numStates(), matrix->numInputs());
+    for (std::size_t q = qr.first; q < qr.second; ++q) {
+      for (std::size_t i = ir.first; i < ir.second; ++i) {
+        acc.add(q, i, matrix->at(q, i));
       }
     }
-    for (const auto m : measures_) {
-      switch (m) {
-        case Measure::Pr:
-          f.pr = core::timingPredictability(matrix, qs, is);
-          break;
-        case Measure::SIPr:
-          f.sipr = core::stateInducedPredictability(matrix, qs, is);
-          break;
-        case Measure::IIPr:
-          f.iipr = core::inputInducedPredictability(matrix, qs, is);
-          break;
-      }
-    }
-  } else {
-    f.bcet = matrix.bcet();
-    f.wcet = matrix.wcet();
-    for (const auto m : measures_) {
-      switch (m) {
-        case Measure::Pr:
-          f.pr = core::timingPredictability(matrix);
-          break;
-        case Measure::SIPr:
-          f.sipr = core::stateInducedPredictability(matrix);
-          break;
-        case Measure::IIPr:
-          f.iipr = core::inputInducedPredictability(matrix);
-          break;
-      }
+    return acc;
+  };
+  std::vector<core::StreamingMeasures> parts;
+  for (const auto& qr : runsOf(spec_.stateSubset, model->numStates())) {
+    for (const auto& ir : runsOf(spec_.inputSubset, w.inputs.size())) {
+      parts.push_back(rect(qr, ir));
     }
   }
-  f.requested = measures_;
-  f.provenance = core::Inherence::Exhaustive;
+  Finding f = detail::streamingFinding(
+      spec_.workload, platformName, *model, w.inputs.size(), spec_.mode,
+      measures_, exp::ExperimentEngine::mergeShards(std::move(parts)));
   attachBounds(f, w, platformName, options);
-
-  if (keepMatrix_) f.matrix = std::move(matrix);
+  f.matrix = std::move(matrix);
   return f;
 }
 

@@ -8,15 +8,22 @@
 //       .workload("bubblesort-8")            // I (WorkloadRegistry)
 //       .platform("ooo-fifo")                // Q (PlatformRegistry)
 //       .measures({Measure::Pr, Measure::SIPr, Measure::IIPr})
-//       .mode(Sampled{256, 7})               // or Exhaustive / AnalysisBounds
+//       .mode(Exhaustive{})                  // the default mode
 //       .run(engine);                        // -> Finding
+//
+// The other two modes: Sampled{samples, seed} estimates Pr alone (Def. 3)
+// and rejects an explicit SIPr or IIPr request, uncertainty subsets and
+// keepMatrix; AnalysisBounds{} adds Figure 1's static bounds and runs on
+// inorder-lru and inorder-lru-icache only.
 //
 // A Query is a thin fluent shell over core::QuerySpec — the same data a
 // Table 1/2 row carries (study/catalog.h) — so every row of the paper's
 // survey compiles to a query and every query renders back into a table row.
 // Exhaustive-mode results are bit-identical to the legacy core:: evaluators
 // on the same matrices (asserted by tests): the study layer adds naming,
-// batching, and provenance, never different arithmetic.
+// batching, and provenance, never different arithmetic.  Every exhaustive
+// Finding, subsets and kept matrices included, is read off one
+// core::StreamingMeasures fed by the engine's walk.
 //
 // run and runAll evaluate in-process; runDistributed is the one way a grid
 // leaves the process — a pred-grid-server splits it across its workers and
@@ -77,7 +84,11 @@ class Query {
 
   /// Extent-of-uncertainty restriction: quantify over these state/input
   /// indices only (Section 2's partial-knowledge refinement).  An empty
-  /// vector means the full enumerated set on that axis.
+  /// vector means the full enumerated set on that axis.  Each list is a
+  /// set: order and repeats do not matter, and every witness is the
+  /// smallest attaining index, as on the full axes.  Exhaustive modes
+  /// only; an index outside its axis throws std::invalid_argument from
+  /// run() and runAll().
   Query& uncertainty(std::vector<std::size_t> stateSubset,
                      std::vector<std::size_t> inputSubset);
 
@@ -129,7 +140,9 @@ class Query {
                          bool useCache = true) const;
 
  private:
-  /// evalOne computes the Finding; runOne wraps it with the observability
+  /// evalOne computes the Finding: Sampled mode draws its cells, the
+  /// exhaustive modes fold one accumulator rectangle by rectangle (one
+  /// rectangle without subsets).  runOne wraps it with the observability
   /// snapshot (engine.report() before/after, attached as a per-run delta in
   /// Finding::report alongside the measured wall time).
   Finding evalOne(exp::ExperimentEngine& engine, const WorkloadInstance& w,
@@ -148,8 +161,8 @@ class Query {
   /// model) or |I|.  run and runAll call it before resolving any trace.
   void requireRunnable(exp::ExperimentEngine& engine,
                        const WorkloadInstance& w) const;
-  /// AnalysisBounds tail shared by the streaming and matrix paths: attaches
-  /// the Figure-1 decomposition computed from the finding's BCET/WCET.
+  /// AnalysisBounds tail of evalOne's exhaustive path: attaches the
+  /// Figure-1 decomposition computed from the finding's BCET/WCET.
   void attachBounds(Finding& f, const WorkloadInstance& w,
                     const std::string& platform,
                     const exp::PlatformOptions& options) const;
@@ -181,16 +194,11 @@ std::string reportLabel(const std::string& s);
 /// Nanoseconds since `start` on the steady clock.
 std::uint64_t elapsedNs(std::chrono::steady_clock::time_point start);
 
-/// The fields every evaluation path of one workload × platform cell fills
-/// identically (names, shape, mode, state labels).
-Finding findingHeader(const std::string& workload,
-                      const std::string& platform,
-                      const exp::TimingModel& model, std::size_t numInputs,
-                      core::EvalMode mode);
-
-/// Assembles the streaming-path Finding from a fully-fed accumulator.  One
-/// implementation shared by Query::run and the batched ScenarioSuite pass,
-/// so a batched cell is identical to its sequential query by construction
+/// Assembles an exhaustive Finding from an accumulator fed with every cell
+/// of the quantified domain (Q x I, or the subsets' rectangles).  The one
+/// place an exhaustive Finding gets its measures: Query::run, the batched
+/// ScenarioSuite pass and runDistributed all call it, so a batched or
+/// distributed cell is identical to its sequential query by construction
 /// (and asserted field-for-field in tests/scenario_test.cpp).
 Finding streamingFinding(const std::string& workload,
                          const std::string& platform,

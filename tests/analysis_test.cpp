@@ -1,14 +1,14 @@
-// analysis_test.cpp — Exhaustive evaluation of Definition 2 and the
-// soundness of the Figure 1 LB/UB bounds.
+// analysis_test.cpp — Exhaustive evaluation of Definition 2 (a Query on
+// the inorder-lru preset) and the soundness of the Figure 1 LB/UB bounds.
 
 #include <gtest/gtest.h>
 
-#include "analysis/exhaustive.h"
 #include "analysis/wcet_bounds.h"
 #include "isa/ast.h"
 #include "isa/builder.h"
 #include "isa/singlepath.h"
 #include "isa/workloads.h"
+#include "study/query.h"
 
 namespace pred::analysis {
 namespace {
@@ -44,11 +44,19 @@ TEST_P(Figure1Soundness, LbBcetWcetUbOrdered) {
   bi.dataCacheGeom = cache::CacheGeometry{4, 8, 2};
   bi.cacheTiming = cache::CacheTiming{1, 10};
 
-  const auto setup = exhaustiveInOrder(prog, inputs, bi.dataCacheGeom,
-                                       cache::Policy::LRU, bi.cacheTiming, 6,
-                                       777, bi.pipeConfig);
-  const auto bcet = setup.matrix.bcet();
-  const auto wcet = setup.matrix.wcet();
+  exp::PlatformOptions opts;
+  opts.numStates = 6;
+  opts.seed = 777;
+  opts.dataGeom = bi.dataCacheGeom;
+  opts.dataTiming = bi.cacheTiming;
+  opts.inorder = bi.pipeConfig;
+  exp::ExperimentEngine engine;
+  const auto f = study::Query()
+                     .workload(c.name, prog, inputs)
+                     .platform("inorder-lru", opts)
+                     .run(engine);
+  const auto bcet = f.bcet;
+  const auto wcet = f.wcet;
   const auto d = figure1Decomposition(cfg, bi, bcet, wcet);
   EXPECT_TRUE(d.wellFormed()) << c.name << ": " << d.summary();
   EXPECT_LE(d.lowerBound, bcet);
@@ -71,13 +79,24 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(Exhaustive, MatrixDimensions) {
   const auto prog = isa::ast::compileBranchy(isa::workloads::sumLoop(4));
   const auto inputs = randomArrayInputs(prog, "a", 4, 3, 5, 8);
-  const auto setup =
-      exhaustiveInOrder(prog, inputs, cache::CacheGeometry{4, 4, 2},
-                        cache::Policy::LRU, cache::CacheTiming{}, 4, 9,
-                        pipeline::InOrderConfig{});
-  EXPECT_EQ(setup.matrix.numStates(), 4u);
-  EXPECT_EQ(setup.matrix.numInputs(), 3u);
-  EXPECT_GT(setup.matrix.bcet(), 0u);
+  exp::PlatformOptions opts;
+  opts.numStates = 4;
+  opts.seed = 9;
+  opts.dataGeom = cache::CacheGeometry{4, 4, 2};
+  opts.dataTiming = cache::CacheTiming{};
+  exp::ExperimentEngine engine;
+  const auto f = study::Query()
+                     .workload("sumLoop", prog, inputs)
+                     .platform("inorder-lru", opts)
+                     .keepMatrix()
+                     .run(engine);
+  EXPECT_EQ(f.numStates, 4u);
+  EXPECT_EQ(f.numInputs, 3u);
+  EXPECT_GT(f.bcet, 0u);
+  ASSERT_TRUE(f.matrix.has_value());
+  EXPECT_EQ(f.matrix->numStates(), 4u);
+  EXPECT_EQ(f.matrix->numInputs(), 3u);
+  EXPECT_EQ(f.matrix->bcet(), f.bcet);
 }
 
 TEST(Exhaustive, CountedLoopHasNoInputVariabilityWithFixedData) {
@@ -85,13 +104,19 @@ TEST(Exhaustive, CountedLoopHasNoInputVariabilityWithFixedData) {
   // so IIPr = 1 on every state.
   const auto prog = isa::ast::compileBranchy(isa::workloads::sumLoop(6));
   const auto inputs = randomArrayInputs(prog, "a", 6, 4, 3, 8);
-  const auto setup =
-      exhaustiveInOrder(prog, inputs, cache::CacheGeometry{4, 4, 2},
-                        cache::Policy::LRU, cache::CacheTiming{}, 3, 9,
-                        pipeline::InOrderConfig{});
-  EXPECT_DOUBLE_EQ(core::inputInducedPredictability(setup.matrix).value, 1.0);
+  exp::PlatformOptions opts;
+  opts.numStates = 3;
+  opts.seed = 9;
+  opts.dataGeom = cache::CacheGeometry{4, 4, 2};
+  opts.dataTiming = cache::CacheTiming{};
+  exp::ExperimentEngine engine;
+  const auto f = study::Query()
+                     .workload("sumLoop", prog, inputs)
+                     .platform("inorder-lru", opts)
+                     .run(engine);
+  EXPECT_DOUBLE_EQ(f.iipr.value, 1.0);
   // But the cache state does matter:
-  EXPECT_LT(core::stateInducedPredictability(setup.matrix).value, 1.0);
+  EXPECT_LT(f.sipr.value, 1.0);
 }
 
 TEST(Exhaustive, NonHaltingProgramThrows) {
@@ -99,10 +124,16 @@ TEST(Exhaustive, NonHaltingProgramThrows) {
   b.label("spin").jmp("spin").halt();
   const auto prog = b.build();
   std::vector<isa::Input> inputs{isa::Input{}};
-  EXPECT_THROW(exhaustiveInOrder(prog, inputs, cache::CacheGeometry{4, 4, 2},
-                                 cache::Policy::LRU, cache::CacheTiming{}, 2,
-                                 9, pipeline::InOrderConfig{}),
-               std::runtime_error);
+  exp::PlatformOptions opts;
+  opts.numStates = 2;
+  opts.seed = 9;
+  opts.dataGeom = cache::CacheGeometry{4, 4, 2};
+  opts.dataTiming = cache::CacheTiming{};
+  exp::ExperimentEngine engine;
+  const auto query = study::Query()
+                         .workload("spin", prog, inputs)
+                         .platform("inorder-lru", opts);
+  EXPECT_THROW(query.run(engine), std::runtime_error);
 }
 
 TEST(Bounds, UpperBoundCoversWorstCaseBranchSide) {
@@ -125,10 +156,18 @@ TEST(Bounds, UpperBoundCoversWorstCaseBranchSide) {
     }
     inputs.push_back(in);
   }
-  const auto setup = exhaustiveInOrder(prog, inputs, bi.dataCacheGeom,
-                                       cache::Policy::LRU, bi.cacheTiming, 5,
-                                       31, bi.pipeConfig);
-  EXPECT_GE(ub, setup.matrix.wcet());
+  exp::PlatformOptions opts;
+  opts.numStates = 5;
+  opts.seed = 31;
+  opts.dataGeom = bi.dataCacheGeom;
+  opts.dataTiming = bi.cacheTiming;
+  opts.inorder = bi.pipeConfig;
+  exp::ExperimentEngine engine;
+  const auto f = study::Query()
+                     .workload("branchTree", prog, inputs)
+                     .platform("inorder-lru", opts)
+                     .run(engine);
+  EXPECT_GE(ub, f.wcet);
 }
 
 TEST(Bounds, LowerBoundPositiveForStraightLineCode) {
@@ -157,10 +196,18 @@ TEST(Bounds, WhileLoopContributesNothingToLowerBound) {
   const auto lb = structuralLowerBound(cfg, bi);
   // An input where the key is found at index 0:
   isa::Input in = isa::varInput(prog, "key", 0);
-  auto setup = exhaustiveInOrder(prog, {in}, bi.dataCacheGeom,
-                                 cache::Policy::LRU, bi.cacheTiming, 2, 1,
-                                 bi.pipeConfig);
-  EXPECT_LE(lb, setup.matrix.bcet());
+  exp::PlatformOptions opts;
+  opts.numStates = 2;
+  opts.seed = 1;
+  opts.dataGeom = bi.dataCacheGeom;
+  opts.dataTiming = bi.cacheTiming;
+  opts.inorder = bi.pipeConfig;
+  exp::ExperimentEngine engine;
+  const auto f = study::Query()
+                     .workload("linearSearch", prog, {in})
+                     .platform("inorder-lru", opts)
+                     .run(engine);
+  EXPECT_LE(lb, f.bcet);
 }
 
 TEST(Bounds, SinglePathTightensInherentVariance) {
@@ -176,13 +223,19 @@ TEST(Bounds, SinglePathTightensInherentVariance) {
     for (auto& in : inputs) {
       in = isa::mergeInputs(in, isa::varInput(prog, "key", 3));
     }
-    pipeline::InOrderConfig cfg;
-    cfg.constantDiv = true;
-    auto setup =
-        exhaustiveInOrder(prog, inputs, cache::CacheGeometry{4, 8, 2},
-                          cache::Policy::LRU, cache::CacheTiming{1, 1}, 1, 3,
-                          cfg);  // 1 state, uniform mem: isolate input effect
-    return setup.matrix.wcet() - setup.matrix.bcet();
+    // 1 state, uniform mem: isolate input effect.
+    exp::PlatformOptions opts;
+    opts.numStates = 1;
+    opts.seed = 3;
+    opts.dataGeom = cache::CacheGeometry{4, 8, 2};
+    opts.dataTiming = cache::CacheTiming{1, 1};
+    opts.inorder.constantDiv = true;
+    exp::ExperimentEngine engine;
+    const auto f = study::Query()
+                       .workload("linearSearch", prog, inputs)
+                       .platform("inorder-lru", opts)
+                       .run(engine);
+    return f.wcet - f.bcet;
   };
   EXPECT_GT(variance(branchy), 0u);
   EXPECT_EQ(variance(single), 0u);
@@ -201,10 +254,18 @@ TEST(Bounds, FunctionBodiesScaledByCallCounts) {
   // And soundness versus measurement:
   auto run = isa::FunctionalCore::run(pBig, isa::Input{});
   ASSERT_TRUE(run.completed);
-  auto setup = exhaustiveInOrder(pBig, {isa::Input{}}, bi.dataCacheGeom,
-                                 cache::Policy::LRU, bi.cacheTiming, 3, 5,
-                                 bi.pipeConfig);
-  EXPECT_GE(ipetUpperBound(cBig, bi), setup.matrix.wcet());
+  exp::PlatformOptions opts;
+  opts.numStates = 3;
+  opts.seed = 5;
+  opts.dataGeom = bi.dataCacheGeom;
+  opts.dataTiming = bi.cacheTiming;
+  opts.inorder = bi.pipeConfig;
+  exp::ExperimentEngine engine;
+  const auto f = study::Query()
+                     .workload("callRoundRobin", pBig, {isa::Input{}})
+                     .platform("inorder-lru", opts)
+                     .run(engine);
+  EXPECT_GE(ipetUpperBound(cBig, bi), f.wcet);
 }
 
 }  // namespace

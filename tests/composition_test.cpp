@@ -4,9 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 
-#include "analysis/exhaustive.h"
+#include "cache/set_assoc.h"
 #include "core/composition.h"
 #include "core/definitions.h"
 #include "isa/ast.h"
@@ -77,12 +78,30 @@ TEST(Composition, ExactForAdditiveInOrderPipeline) {
   const cache::CacheTiming dTiming{1, 10};
   const cache::CacheTiming iTiming{0, 6};
 
-  // Exhaustive system-level SIPr over paired (dcache, icache) states.
+  // Paired (dcache, icache) states, warmed as the inorder-lru-icache
+  // preset warms them: the data cache over the program's data, the
+  // I-cache over its pc range under a derived seed.
+  const int numStates = 10;
+  const std::uint64_t seed = 5;
+  const auto dStates = cache::enumerateInitialStates(
+      dGeom, cache::Policy::LRU, dTiming, numStates, seed,
+      std::min(prog.layout.memWords, 8 * dGeom.capacityWords()));
+  const auto iStates = cache::enumerateInitialStates(
+      iGeom, cache::Policy::LRU, iTiming, numStates, seed * 31 + 7,
+      std::max<std::int64_t>(static_cast<std::int64_t>(prog.size()),
+                             2 * iGeom.capacityWords()));
+
+  // Exhaustive system-level SIPr: the whole pipeline from each state pair.
   pipeline::InOrderConfig cfg;
-  const auto setup = analysis::exhaustiveInOrderWithICache(
-      prog, {isa::Input{}}, dGeom, iGeom, cache::Policy::LRU, dTiming,
-      iTiming, 10, 5, cfg);
-  const auto systemSipr = stateInducedPredictability(setup.matrix);
+  const auto systemMatrix = TimingMatrix::compute(
+      [&](std::size_t q, std::size_t) {
+        pipeline::CachedMemory dmem(dStates[q]);
+        pipeline::CachedMemory imem(iStates[q]);
+        pipeline::InOrderPipeline pipe(cfg, &dmem, nullptr, &imem);
+        return pipe.run(trace);
+      },
+      dStates.size(), 1);
+  const auto systemSipr = stateInducedPredictability(systemMatrix);
 
   // Component ranges: replay the SAME trace through each component alone.
   Cycles computeCost = 0;
@@ -92,15 +111,15 @@ TEST(Composition, ExactForAdditiveInOrderPipeline) {
     computeCost = pipe.run(trace);  // core-only time (mem latency 0)
   }
   Cycles dLo = ~Cycles{0}, dHi = 0, iLo = ~Cycles{0}, iHi = 0;
-  for (const auto& st : setup.states) {
-    cache::SetAssocCache dc = st.cache;
+  for (std::size_t q = 0; q < dStates.size(); ++q) {
+    cache::SetAssocCache dc = dStates[q];
     Cycles dCost = 0;
     for (const auto& rec : trace) {
       if (rec.memWordAddr >= 0) dCost += dc.access(rec.memWordAddr).latency;
     }
     dLo = std::min(dLo, dCost);
     dHi = std::max(dHi, dCost);
-    cache::SetAssocCache ic = *st.icache;
+    cache::SetAssocCache ic = iStates[q];
     Cycles iCost = 0;
     for (const auto& rec : trace) iCost += ic.access(rec.pc).latency;
     iLo = std::min(iLo, iCost);

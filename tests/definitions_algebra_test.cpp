@@ -14,7 +14,10 @@
 //     fresh functional run replayed through the model's time());
 //   - SIPr witnesses share an input and IIPr witnesses share a state;
 //   - restricting a Query to a state or input subset never lowers any of
-//     the three measures.
+//     the three measures, and gives the core:: subset evaluators' values
+//     and witnesses over the uncollapsed computeMatrix.  A subset query
+//     walks one rectangle per run of consecutive indices, so this is the
+//     differential check of both collapses inside a rectangle.
 //
 // One input is a renamed duplicate of another, so trace-class collapse
 // engages on every streaming path.
@@ -24,6 +27,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <numeric>
 #include <random>
 #include <string>
 #include <utility>
@@ -37,6 +41,7 @@
 #include "isa/exec.h"
 #include "isa/workloads.h"
 #include "study/query.h"
+#include "witness_expect.h"
 
 namespace pred {
 namespace {
@@ -193,6 +198,19 @@ TEST_P(DefinitionAlgebra, UncertaintySubsetsNeverLowerAMeasure) {
                           .platform(name, s.opts)
                           .mode(study::Exhaustive{});
     const auto full = base.run(engine);
+    const auto model =
+        exp::PlatformRegistry::instance().make(name, s.prog, s.opts);
+    const auto matrix = engine.computeMatrix(*model, s.prog, s.inputs);
+    // The oracle's domain: the subset as a sorted set, or the whole axis.
+    const auto domain = [](std::vector<std::size_t> sub, std::size_t n) {
+      if (sub.empty()) {
+        sub.resize(n);
+        std::iota(sub.begin(), sub.end(), std::size_t{0});
+      }
+      std::sort(sub.begin(), sub.end());
+      sub.erase(std::unique(sub.begin(), sub.end()), sub.end());
+      return sub;
+    };
     std::vector<std::size_t> evenStates, oddInputs;
     for (std::size_t q = 0; q < full.numStates; q += 2) {
       evenStates.push_back(q);
@@ -200,16 +218,35 @@ TEST_P(DefinitionAlgebra, UncertaintySubsetsNeverLowerAMeasure) {
     for (std::size_t i = 1; i < full.numInputs; i += 2) {
       oddInputs.push_back(i);
     }
+    // Unsorted, with a repeat, and runs longer than one index.
+    std::vector<std::size_t> lastAndLowStates{full.numStates - 1};
+    for (std::size_t q = 0; q < (full.numStates + 1) / 2; ++q) {
+      lastAndLowStates.push_back(q);
+    }
     const std::pair<std::vector<std::size_t>, std::vector<std::size_t>>
         subsets[] = {{evenStates, {}},
                      {{}, oddInputs},
-                     {{full.numStates - 1}, {0, full.numInputs - 1}}};
+                     {{full.numStates - 1}, {0, full.numInputs - 1}},
+                     {lastAndLowStates, {full.numInputs - 1, 0, 1, 1}}};
     for (const auto& [qs, is] : subsets) {
       auto restricted = base;
       const auto sub = restricted.uncertainty(qs, is).run(engine);
       EXPECT_GE(sub.pr.value, full.pr.value) << name;
       EXPECT_GE(sub.sipr.value, full.sipr.value) << name;
       EXPECT_GE(sub.iipr.value, full.iipr.value) << name;
+
+      const auto qDomain = domain(qs, full.numStates);
+      const auto iDomain = domain(is, full.numInputs);
+      const auto pr = core::timingPredictability(matrix, qDomain, iDomain);
+      EXPECT_EQ(sub.bcet, pr.minTime) << name;
+      EXPECT_EQ(sub.wcet, pr.maxTime) << name;
+      expectSamePredictabilityValue(sub.pr, pr, name + " Pr");
+      expectSamePredictabilityValue(
+          sub.sipr, core::stateInducedPredictability(matrix, qDomain, iDomain),
+          name + " SIPr");
+      expectSamePredictabilityValue(
+          sub.iipr, core::inputInducedPredictability(matrix, qDomain, iDomain),
+          name + " IIPr");
     }
   }
 }

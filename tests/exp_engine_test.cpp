@@ -1,9 +1,10 @@
 // exp_engine_test.cpp — The parallel experiment engine: bit-identical
 // parallel/serial matrices, trace memoization, and agreement with the
-// legacy exhaustive-analysis path it replaces.
+// seed's in-order matrix timed by hand.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cstdint>
@@ -18,7 +19,7 @@
 #include <utility>
 #include <vector>
 
-#include "analysis/exhaustive.h"
+#include "cache/set_assoc.h"
 #include "exp/engine.h"
 #include "exp/platform.h"
 #include "exp/replay.h"
@@ -26,6 +27,8 @@
 #include "exp/worker_pool.h"
 #include "isa/ast.h"
 #include "isa/workloads.h"
+#include "pipeline/inorder.h"
+#include "pipeline/memory_iface.h"
 #include "witness_expect.h"
 
 namespace pred::exp {
@@ -87,16 +90,28 @@ TEST(ExperimentEngine, DeterministicAcrossThreadCountsAndTileShapes) {
   }
 }
 
-TEST(ExperimentEngine, MatchesLegacyExhaustiveAnalysisPath) {
-  // Same Q enumeration parameters as analysis::exhaustiveInOrder — the
-  // engine must reproduce the seed's ground-truth matrix exactly.
+TEST(ExperimentEngine, InOrderPresetMatchesTheSeedMatrixTimedByHand) {
+  // The seed's ground truth, timed with no engine or model code: 8 LRU
+  // snapshots warmed over the program's data, each input's functional
+  // trace, and one fresh pipeline over a copy of the snapshot per cell.
+  // The inorder-lru preset must reproduce it exactly.
   const auto prog = testProgram();
   const auto inputs = testInputs(prog, 6);
   const cache::CacheGeometry geom{4, 8, 2};
   const cache::CacheTiming timing{1, 10};
-  const auto legacy = analysis::exhaustiveInOrder(
-      prog, inputs, geom, cache::Policy::LRU, timing, 8, 42,
-      pipeline::InOrderConfig{});
+  const auto states = cache::enumerateInitialStates(
+      geom, cache::Policy::LRU, timing, 8, 42,
+      std::min(prog.layout.memWords, 8 * geom.capacityWords()));
+  core::TimingMatrix byHand(states.size(), inputs.size());
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    const auto run = isa::FunctionalCore::run(prog, inputs[i]);
+    ASSERT_TRUE(run.completed);
+    for (std::size_t q = 0; q < states.size(); ++q) {
+      pipeline::CachedMemory mem(states[q]);
+      pipeline::InOrderPipeline pipe(pipeline::InOrderConfig{}, &mem);
+      byHand.at(q, i) = pipe.run(run.trace);
+    }
+  }
 
   PlatformOptions opts;
   opts.numStates = 8;
@@ -106,7 +121,7 @@ TEST(ExperimentEngine, MatchesLegacyExhaustiveAnalysisPath) {
   const auto model =
       PlatformRegistry::instance().make("inorder-lru", prog, opts);
   ExperimentEngine engine(EngineConfig{4});
-  EXPECT_TRUE(legacy.matrix == engine.computeMatrix(*model, prog, inputs));
+  EXPECT_TRUE(byHand == engine.computeMatrix(*model, prog, inputs));
 }
 
 TEST(TraceStore, MemoizedTracesEqualFreshTraces) {

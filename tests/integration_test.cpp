@@ -4,7 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include "analysis/exhaustive.h"
 #include "analysis/wcet_bounds.h"
 #include "branch/dynamic.h"
 #include "branch/static_schemes.h"
@@ -19,6 +18,7 @@
 #include "pipeline/memory_iface.h"
 #include "pipeline/ooo.h"
 #include "pipeline/vtrace.h"
+#include "study/query.h"
 
 namespace pred {
 namespace {
@@ -42,12 +42,18 @@ TEST(Integration, SinglePathMakesIIPrOne) {
     for (auto& in : inputs) {
       in = isa::mergeInputs(in, isa::varInput(prog, "key", 2));
     }
-    pipeline::InOrderConfig cfg;
-    cfg.constantDiv = true;
-    auto setup = analysis::exhaustiveInOrder(
-        prog, inputs, cache::CacheGeometry{4, 8, 2}, cache::Policy::LRU,
-        cache::CacheTiming{2, 2}, 1, 5, cfg);
-    return core::inputInducedPredictability(setup.matrix).value;
+    exp::PlatformOptions opts;
+    opts.numStates = 1;
+    opts.seed = 5;
+    opts.dataGeom = cache::CacheGeometry{4, 8, 2};
+    opts.dataTiming = cache::CacheTiming{2, 2};
+    opts.inorder.constantDiv = true;
+    exp::ExperimentEngine engine;
+    return study::Query()
+        .workload("linearSearch", prog, inputs)
+        .platform("inorder-lru", opts)
+        .run(engine)
+        .iipr.value;
   };
   EXPECT_LT(iipr(branchy), 1.0);
   EXPECT_DOUBLE_EQ(iipr(single), 1.0);
@@ -59,13 +65,20 @@ TEST(Integration, StateInducedPredictabilityOrdering) {
   const auto prog = isa::ast::compileBranchy(isa::workloads::sumLoop(16));
   const std::vector<isa::Input> inputs{isa::Input{}};
 
-  auto sipr = [&](cache::Policy policy) {
-    auto setup = analysis::exhaustiveInOrder(
-        prog, inputs, cache::CacheGeometry{4, 8, 2}, policy,
-        cache::CacheTiming{1, 12}, 8, 41, pipeline::InOrderConfig{});
-    return core::stateInducedPredictability(setup.matrix).value;
+  auto sipr = [&](const std::string& platform) {
+    exp::PlatformOptions opts;
+    opts.numStates = 8;
+    opts.seed = 41;
+    opts.dataGeom = cache::CacheGeometry{4, 8, 2};
+    opts.dataTiming = cache::CacheTiming{1, 12};
+    exp::ExperimentEngine engine;
+    return study::Query()
+        .workload("sumLoop", prog, inputs)
+        .platform(platform, opts)
+        .run(engine)
+        .sipr.value;
   };
-  const double lru = sipr(cache::Policy::LRU);
+  const double lru = sipr("inorder-lru");
   EXPECT_LT(lru, 1.0);  // caches do induce state variability
 
   // Scratchpad: no state at all.
@@ -198,11 +211,18 @@ TEST(Integration, Figure1DecompositionNonTrivial) {
   for (auto& in : inputs) {
     in = isa::mergeInputs(in, isa::varInput(prog, "key", 3));
   }
-  const auto setup = analysis::exhaustiveInOrder(
-      prog, inputs, bi.dataCacheGeom, cache::Policy::LRU, bi.cacheTiming, 6,
-      123, bi.pipeConfig);
-  const auto d = analysis::figure1Decomposition(
-      cfg, bi, setup.matrix.bcet(), setup.matrix.wcet());
+  exp::PlatformOptions opts;
+  opts.numStates = 6;
+  opts.seed = 123;
+  opts.dataGeom = bi.dataCacheGeom;
+  opts.dataTiming = bi.cacheTiming;
+  opts.inorder = bi.pipeConfig;
+  exp::ExperimentEngine engine;
+  const auto f = study::Query()
+                     .workload("linearSearch", prog, inputs)
+                     .platform("inorder-lru", opts)
+                     .run(engine);
+  const auto d = analysis::figure1Decomposition(cfg, bi, f.bcet, f.wcet);
   EXPECT_TRUE(d.wellFormed());
   EXPECT_GT(d.inherentVariance(), 0u);      // input+state spread
   EXPECT_GT(d.abstractionVariance(), 0u);   // analysis overestimation
@@ -216,12 +236,19 @@ TEST(Integration, FactorizationInequalityOnRealSystem) {
   for (auto& in : inputs) {
     in = isa::mergeInputs(in, isa::varInput(prog, "key", 1));
   }
-  const auto setup = analysis::exhaustiveInOrder(
-      prog, inputs, cache::CacheGeometry{4, 8, 2}, cache::Policy::LRU,
-      cache::CacheTiming{1, 10}, 5, 7, pipeline::InOrderConfig{});
-  const double pr = core::timingPredictability(setup.matrix).value;
-  EXPECT_LE(pr, core::stateInducedPredictability(setup.matrix).value + 1e-12);
-  EXPECT_LE(pr, core::inputInducedPredictability(setup.matrix).value + 1e-12);
+  exp::PlatformOptions opts;
+  opts.numStates = 5;
+  opts.seed = 7;
+  opts.dataGeom = cache::CacheGeometry{4, 8, 2};
+  opts.dataTiming = cache::CacheTiming{1, 10};
+  exp::ExperimentEngine engine;
+  const auto f = study::Query()
+                     .workload("linearSearch", prog, inputs)
+                     .platform("inorder-lru", opts)
+                     .run(engine);
+  const double pr = f.pr.value;
+  EXPECT_LE(pr, f.sipr.value + 1e-12);
+  EXPECT_LE(pr, f.iipr.value + 1e-12);
 }
 
 }  // namespace

@@ -240,7 +240,8 @@ TEST(RunReport, DeltaSinceSubtractsAndDropsIdlePhases) {
   ASSERT_EQ(d.phases.count("walk"), 1u);
   EXPECT_EQ(d.phases.at("walk").count, 3u);
   EXPECT_EQ(d.phases.at("walk").totalNs, 60u);
-  EXPECT_EQ(d.phases.at("walk").maxNs, 90u);  // max keeps the after value
+  // The lifetime max (90) predates the window, whose spans total 60.
+  EXPECT_EQ(d.phases.at("walk").maxNs, 60u);
   // merge did not advance during the run -> dropped from the delta.
   EXPECT_EQ(d.phases.count("merge"), 0u);
   ASSERT_EQ(d.workers.size(), 1u);
@@ -471,6 +472,15 @@ TEST(EngineReport, ShardedRunAttachesPerShardStats) {
   EXPECT_EQ(fleet.counter("trace_store.misses"),
             engine.traceStore().misses());
   EXPECT_EQ(fleet.shards[1].traceMisses + fleet.shards[2].traceMisses, 0u);
+  // Each shard's report shows only spans it ran: on the warm engine the
+  // lifetime max of a phase must not leak into a later band's report.
+  for (std::size_t k = 0; k < parts.size(); ++k) {
+    for (const auto& [name, p] : parts[k].phases) {
+      EXPECT_LE(p.maxNs, p.totalNs) << "shard " << k << " phase " << name;
+      EXPECT_LE(p.totalNs, parts[k].wallNs)
+          << "shard " << k << " phase " << name;
+    }
+  }
   // Its wire form is a valid report (labels are single tokens).
   EXPECT_NO_THROW(obs::RunReport::deserialize(fleet.serialize()));
 }

@@ -8,12 +8,12 @@
 
 #include <gtest/gtest.h>
 
-#include "analysis/exhaustive.h"
 #include "analysis/wcet_bounds.h"
 #include "isa/ast.h"
 #include "isa/exec.h"
 #include "isa/singlepath.h"
 #include "isa/workloads.h"
+#include "study/query.h"
 
 namespace pred {
 namespace {
@@ -98,11 +98,19 @@ TEST_P(RandomAstDifferential, BoundsSound) {
   for (std::uint64_t s = 1; s <= 4; ++s) {
     inputs.push_back(inputFor(prog, seed * 991 + s));
   }
-  const auto setup = analysis::exhaustiveInOrder(
-      prog, inputs, bi.dataCacheGeom, cache::Policy::LRU, bi.cacheTiming, 4,
-      seed, bi.pipeConfig);
-  EXPECT_LE(lb, setup.matrix.bcet()) << "seed " << seed;
-  EXPECT_GE(ub, setup.matrix.wcet()) << "seed " << seed;
+  exp::PlatformOptions opts;
+  opts.numStates = 4;
+  opts.seed = seed;
+  opts.dataGeom = bi.dataCacheGeom;
+  opts.dataTiming = bi.cacheTiming;
+  opts.inorder = bi.pipeConfig;
+  exp::ExperimentEngine engine;
+  const auto f = study::Query()
+                     .workload("random", prog, inputs)
+                     .platform("inorder-lru", opts)
+                     .run(engine);
+  EXPECT_LE(lb, f.bcet) << "seed " << seed;
+  EXPECT_GE(ub, f.wcet) << "seed " << seed;
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomAstDifferential,

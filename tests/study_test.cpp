@@ -100,10 +100,35 @@ TEST(Query, RestrictedUncertaintyMatchesLegacySubsetEvaluators) {
   expectIdentical(f.pr, core::timingPredictability(matrix, qs, is));
   expectIdentical(f.sipr, core::stateInducedPredictability(matrix, qs, is));
   expectIdentical(f.iipr, core::inputInducedPredictability(matrix, qs, is));
+  EXPECT_EQ(f.bcet, f.pr.minTime);
+  EXPECT_EQ(f.wcet, f.pr.maxTime);
+  // The subset streams through the engine's walk: no dense matrix.
+  EXPECT_EQ(engine.matrixBuilds(), 0u);
 
   // Subsets can only raise Pr (Section 2's extent-of-uncertainty argument).
   const auto full = core::timingPredictability(matrix);
   EXPECT_GE(f.pr.value, full.value);
+
+  // Subsets are sets: order and repeats change nothing, witnesses
+  // included, whether the cells come from the walk or the kept matrix.
+  for (const bool keep : {false, true}) {
+    SCOPED_TRACE(keep ? "keepMatrix" : "streaming");
+    exp::ExperimentEngine e;
+    const auto g = Query()
+                       .workload("w", s.prog, s.inputs)
+                       .platform("inorder-lru", s.opts)
+                       .uncertainty({2, 0, 2}, {3, 1})
+                       .keepMatrix(keep)
+                       .run(e);
+    EXPECT_EQ(g.bcet, f.bcet);
+    EXPECT_EQ(g.wcet, f.wcet);
+    expectIdentical(g.pr, f.pr);
+    expectIdentical(g.sipr, f.sipr);
+    expectIdentical(g.iipr, f.iipr);
+    EXPECT_EQ(e.matrixBuilds(), keep ? 1u : 0u);
+    ASSERT_EQ(g.matrix.has_value(), keep);
+    if (keep) EXPECT_TRUE(*g.matrix == matrix);
+  }
 }
 
 TEST(Definitions, RestrictedEvaluatorsOnFullSetsMatchUnrestricted) {

@@ -3,13 +3,12 @@
 
 #include <gtest/gtest.h>
 
-#include "analysis/exhaustive.h"
 #include "analysis/wcet_bounds.h"
-#include "core/definitions.h"
 #include "isa/ast.h"
 #include "isa/exec.h"
 #include "isa/singlepath.h"
 #include "isa/workloads.h"
+#include "study/query.h"
 
 namespace pred::isa {
 namespace {
@@ -34,11 +33,17 @@ TEST(Fibonacci, ComputesSequence) {
 TEST(Fibonacci, FullyInputIndependent) {
   // No inputs at all: Pr over any state set equals SIPr; IIPr = 1.
   const auto p = ast::compileBranchy(workloads::fibonacci(12));
-  const auto setup = analysis::exhaustiveInOrder(
-      p, {Input{}, Input{}}, cache::CacheGeometry{4, 8, 2},
-      cache::Policy::LRU, cache::CacheTiming{1, 10}, 6, 3,
-      pipeline::InOrderConfig{});
-  EXPECT_DOUBLE_EQ(core::inputInducedPredictability(setup.matrix).value, 1.0);
+  exp::PlatformOptions opts;
+  opts.numStates = 6;
+  opts.seed = 3;
+  opts.dataGeom = cache::CacheGeometry{4, 8, 2};
+  opts.dataTiming = cache::CacheTiming{1, 10};
+  exp::ExperimentEngine engine;
+  const auto f = study::Query()
+                     .workload("fibonacci", p, {Input{}, Input{}})
+                     .platform("inorder-lru", opts)
+                     .run(engine);
+  EXPECT_DOUBLE_EQ(f.iipr.value, 1.0);
 }
 
 TEST(MatrixTranspose, TransposesCorrectly) {
@@ -114,12 +119,18 @@ TEST(CrcLike, BranchyTimeVariesSinglePathDoesNot) {
     const auto p = singlePath ? ast::compileSinglePath(ast)
                               : ast::compileBranchy(ast);
     const auto inputs = workloads::randomArrayInputs(p, "a", 3, 6, 5, 256);
-    pipeline::InOrderConfig cfg;
-    cfg.constantDiv = true;
-    const auto setup = analysis::exhaustiveInOrder(
-        p, inputs, cache::CacheGeometry{4, 8, 2}, cache::Policy::LRU,
-        cache::CacheTiming{2, 2}, 1, 3, cfg);
-    const double iipr = core::inputInducedPredictability(setup.matrix).value;
+    exp::PlatformOptions opts;
+    opts.numStates = 1;
+    opts.seed = 3;
+    opts.dataGeom = cache::CacheGeometry{4, 8, 2};
+    opts.dataTiming = cache::CacheTiming{2, 2};
+    opts.inorder.constantDiv = true;
+    exp::ExperimentEngine engine;
+    const double iipr = study::Query()
+                            .workload("crcLike", p, inputs)
+                            .platform("inorder-lru", opts)
+                            .run(engine)
+                            .iipr.value;
     if (singlePath) {
       EXPECT_DOUBLE_EQ(iipr, 1.0);
     } else {
@@ -149,11 +160,19 @@ TEST(NewWorkloads, BoundsSound) {
       auto more = workloads::randomArrayInputs(p, "m", 9, 4, 11, 64);
       inputs.insert(inputs.end(), more.begin(), more.end());
     }
-    const auto setup = analysis::exhaustiveInOrder(
-        p, inputs, bi.dataCacheGeom, cache::Policy::LRU, bi.cacheTiming, 4,
-        9, bi.pipeConfig);
-    EXPECT_LE(analysis::structuralLowerBound(cfg, bi), setup.matrix.bcet());
-    EXPECT_GE(analysis::ipetUpperBound(cfg, bi), setup.matrix.wcet());
+    exp::PlatformOptions opts;
+    opts.numStates = 4;
+    opts.seed = 9;
+    opts.dataGeom = bi.dataCacheGeom;
+    opts.dataTiming = bi.cacheTiming;
+    opts.inorder = bi.pipeConfig;
+    exp::ExperimentEngine engine;
+    const auto f = study::Query()
+                       .workload("new-workload", p, inputs)
+                       .platform("inorder-lru", opts)
+                       .run(engine);
+    EXPECT_LE(analysis::structuralLowerBound(cfg, bi), f.bcet);
+    EXPECT_GE(analysis::ipetUpperBound(cfg, bi), f.wcet);
   }
 }
 
